@@ -21,11 +21,12 @@
 // evaluation replays traces through. To serve concurrent traffic, use the
 // online engine instead — internal/tiered runs Proposed, ProposedAdaptive
 // and ClockDWF behind a sharded page table with a background migration
-// daemon (cmd/tierd benchmarks it), and is equivalence-tested against this
-// facade's accounting at one goroutine. The online engine is multi-tenant:
-// isolated page namespaces with per-tenant DRAM quotas, a shared spill
-// pool, and fair (round-robin) apportioning of the migration budget across
-// tenants — the consolidated `mix` study served live.
+// daemon (cmd/tierd benchmarks it); how far its counts sit from this
+// facade's accounting is measured by internal/tiered's fidelity test. The
+// online engine is multi-tenant: isolated page namespaces with per-tenant
+// DRAM quotas, a shared spill pool, and fair (round-robin) apportioning of
+// the migration budget across tenants — the consolidated `mix` study
+// served live.
 //
 // The full evaluation machinery (figure regeneration, sweeps, claims
 // extraction) lives in the cmd/ tools; see README.md.

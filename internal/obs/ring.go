@@ -32,8 +32,7 @@ func (t Tier) String() string {
 type Reason uint8
 
 const (
-	// ReasonPromotion: the daemon (or sync mirror) moved a hot page
-	// NVM -> DRAM.
+	// ReasonPromotion: the daemon moved a hot page NVM -> DRAM.
 	ReasonPromotion Reason = iota
 	// ReasonDemotionFault: a DRAM frame was reclaimed to satisfy a
 	// faulting page's DRAM reservation.
@@ -44,8 +43,9 @@ const (
 	// ReasonDemotionSpill: a borrower's page was demoted to reclaim
 	// spill-pool capacity for a tenant under its own quota.
 	ReasonDemotionSpill
-	// ReasonDemotionClean: the reference policy retired a clean DRAM
-	// page without a write-back (synchronous mode only).
+	// ReasonDemotionClean: a clean DRAM page was retired without a
+	// write-back. No online policy produces it today; the value stays so
+	// the reasons after it keep their numbers.
 	ReasonDemotionClean
 	// ReasonEviction: an NVM frame was reclaimed; the page left memory.
 	ReasonEviction

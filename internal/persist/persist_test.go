@@ -460,13 +460,6 @@ func TestRestoreLifecycleErrors(t *testing.T) {
 	if _, err := e.Restore(nil); !errors.Is(err, tiered.ErrRestoreStarted) {
 		t.Fatalf("Restore after Start: %v", err)
 	}
-	sync, err := tiered.New(tiered.Config{DRAMPages: 8, NVMPages: 8, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sync.Restore(nil); !errors.Is(err, tiered.ErrRestoreSync) {
-		t.Fatalf("Restore on sync engine: %v", err)
-	}
 }
 
 // TestRestoreSkipsMisfits feeds records the current config cannot hold:

@@ -245,8 +245,8 @@ func (s *Server) process(c *conn) (fatal bool) {
 
 // flushRun serves the pending GET/SET run through the engine batch API
 // and emits the per-command replies in order. If the batch call cannot
-// complete (lifecycle, out-of-range address, synchronous engine), the
-// unserved tail falls back to one-at-a-time serves so every command still
+// complete (engine stopped, unknown tenant, out-of-range address,
+// fault-path error), the unserved tail falls back to one-at-a-time serves so every command still
 // gets exactly the reply it would have gotten unbatched. Reports whether
 // the connection must close.
 func (s *Server) flushRun(c *conn) (closeAfter bool) {

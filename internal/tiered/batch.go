@@ -2,23 +2,14 @@ package tiered
 
 import (
 	"errors"
-	"fmt"
 
 	"hybridmem/internal/mm"
 	"hybridmem/internal/trace"
 )
 
-// Batch-serve errors.
-var (
-	// ErrBatchLengths is returned when the addrs, ops and out slices of a
-	// batch do not have the same length.
-	ErrBatchLengths = errors.New("tiered: batch slices must have equal lengths")
-	// ErrBatchSync is returned when the batch API is called on a
-	// synchronous engine: the reference policy serializes every access
-	// behind one lock, so there is nothing for a batch to amortize and the
-	// equivalence harness must see the one-at-a-time path.
-	ErrBatchSync = errors.New("tiered: batch serve is not available in synchronous mode")
-)
+// ErrBatchLengths is returned when the addrs, ops and out slices of a
+// batch do not have the same length.
+var ErrBatchLengths = errors.New("tiered: batch slices must have equal lengths")
 
 // batchScratch accumulates one ServeTenantBatch call's counter deltas so
 // the striped atomics are written once per touched stripe, not once per
@@ -73,10 +64,10 @@ func (s *batchScratch) grow(nodes, stripes int) {
 // equal length. The returned count is how many leading accesses were
 // served (and are reflected in out and every counter). A batch with any
 // out-of-range address is rejected whole — (0, ErrPageRange) — before
-// any access is tallied; lifecycle, unknown-tenant and synchronous-mode
-// errors also reject the whole batch. A fault-path error stops the batch
-// at the failing access after flushing the deltas of the accesses already
-// served, so the counters stay exact.
+// any access is tallied; lifecycle and unknown-tenant errors also reject
+// the whole batch. A fault-path error stops the batch at the failing
+// access after flushing the deltas of the accesses already served, so the
+// counters stay exact.
 //
 // Safe for concurrent use like ServeTenant. The hits of one batch become
 // visible to Stats/TenantStats/NodeStats at the batch's flush (faults
@@ -87,22 +78,9 @@ func (e *Engine) ServeTenantBatch(tenant TenantID, addrs []uint64, ops []trace.O
 	if len(ops) != len(addrs) || len(out) != len(addrs) {
 		return 0, ErrBatchLengths
 	}
-	switch e.state.Load() {
-	case stateStarted:
-	case stateNew:
-		return 0, ErrNotStarted
-	default:
-		return 0, ErrStopped
-	}
-	ts := e.def
-	if tenant != DefaultTenant {
-		ts = e.tenants[tenant]
-	}
+	ts := e.admit(tenant)
 	if ts == nil {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownTenant, tenant)
-	}
-	if e.backing != nil {
-		return 0, ErrBatchSync
+		return 0, e.admitErr(tenant)
 	}
 	if len(addrs) == 0 {
 		return 0, nil
@@ -123,22 +101,15 @@ func (e *Engine) ServeTenantBatch(tenant TenantID, addrs []uint64, ops []trace.O
 	}
 	s.grow(len(e.nodes), stripes)
 
-	// Pass 2: derive each key (hashed exactly once, shared by the probe
-	// and the home-node lookup, as on the unbatched path) and probe the
-	// table snapshots in order. Hits only bump a plain per-stripe delta;
-	// misses — rare in steady state — tally their access directly and take
-	// the ordinary fault path, exactly as unbatched.
+	// Pass 2: locate and probe each page in order, exactly as ServeTenant
+	// does. The one difference is the hit tally: a hit only bumps a plain
+	// per-stripe delta, flushed below; misses — rare in steady state — go
+	// through the same miss path as unbatched.
 	var err error
 	served := len(addrs)
 	for i, addr := range addrs {
 		page := e.pageOf(addr)
-		key := tableKey(ts.id, page)
-		cell := key & e.stripeMask
-		h := mix(key)
-		home := 0
-		if e.multiNode {
-			home = e.tbl.HomeNodeHash(h)
-		}
+		key, h, cell, home := e.locate(ts, page)
 		op := ops[i]
 		if loc, ok := e.tbl.TouchHash(key, h, op); ok {
 			if !s.marked[cell] {
@@ -159,18 +130,10 @@ func (e *Engine) ServeTenantBatch(tenant TenantID, addrs []uint64, ops []trace.O
 			out[i] = ServeResult{ServedFrom: loc}
 			continue
 		}
-		e.serveCells[cell].accesses.Add(1)
-		ts.cells[cell].accesses.Add(1)
-		if e.multiNode {
-			e.nodes[home].accesses[cell].Add(1)
-		}
-		var res ServeResult
-		res, err = e.serveFault(ts, cell, key, h, page, home, op)
-		if err != nil {
+		if out[i], err = e.miss(ts, cell, key, h, page, home, op); err != nil {
 			served = i
 			break
 		}
-		out[i] = res
 	}
 
 	// Flush: one atomic Add per touched stripe per nonzero counter, then

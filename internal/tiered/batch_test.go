@@ -116,9 +116,9 @@ func TestServeTenantBatchEquivalence(t *testing.T) {
 }
 
 // TestServeTenantBatchRejections pins the batch API's whole-batch error
-// contract: mismatched slice lengths, engine lifecycle, unknown tenants,
-// synchronous mode and out-of-range addresses all reject the batch before
-// any access is tallied.
+// contract: mismatched slice lengths, engine lifecycle, unknown tenants
+// and out-of-range addresses all reject the batch before any access is
+// tallied.
 func TestServeTenantBatchRejections(t *testing.T) {
 	addrs := []uint64{0, 4096}
 	ops := []trace.Op{trace.OpRead, trace.OpWrite}
@@ -163,20 +163,6 @@ func TestServeTenantBatchRejections(t *testing.T) {
 	}
 	if _, err := e.ServeTenantBatch(DefaultTenant, addrs, ops, out); !errors.Is(err, ErrStopped) {
 		t.Fatalf("after Stop: err = %v, want ErrStopped", err)
-	}
-
-	// Synchronous mode rejects the batch API explicitly: the reference
-	// policy path must stay one access at a time.
-	es, err := New(Config{DRAMPages: 16, NVMPages: 16, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := es.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer es.Stop()
-	if _, err := es.ServeTenantBatch(DefaultTenant, addrs, ops, out); !errors.Is(err, ErrBatchSync) {
-		t.Fatalf("synchronous engine: err = %v, want ErrBatchSync", err)
 	}
 }
 

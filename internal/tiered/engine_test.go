@@ -2,6 +2,7 @@ package tiered
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -37,33 +38,6 @@ func genTrace(t testing.TB, name string, scale float64, seed int64) (recs []trac
 	}
 	dram, nvm = memspec.DefaultSizing().Partition(gen.Pages())
 	return recs, dram, nvm
-}
-
-// TestEngineMatchesSimSingleGoroutine is the subsystem's equivalence
-// guarantee: served from one goroutine in synchronous mode, the online
-// engine produces the exact hit/fault/promotion/demotion counts of the
-// single-threaded reference simulator, for every supported policy.
-func TestEngineMatchesSimSingleGoroutine(t *testing.T) {
-	recs, dram, nvm := genTrace(t, "bodytrack", 0.05, 11)
-	for _, kind := range Kinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			stats, err := VerifyAgainstSim(Config{
-				Policy:    kind,
-				DRAMPages: dram,
-				NVMPages:  nvm,
-			}, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Accesses != int64(len(recs)) {
-				t.Fatalf("verified %d accesses, trace has %d", stats.Accesses, len(recs))
-			}
-			if stats.Hits() == 0 || stats.Faults == 0 {
-				t.Fatalf("degenerate trace: hits=%d faults=%d", stats.Hits(), stats.Faults)
-			}
-		})
-	}
 }
 
 // smallCore returns a proposed-scheme config with tiny thresholds so tests
@@ -392,52 +366,52 @@ func TestStopUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestServeScaling is the scaling sanity gate: the sharded engine at many
-// goroutines must out-serve one goroutine. The margin is deliberately
-// generous (strictly higher, best of three) and the test skips on machines
-// without real parallelism.
+// TestServeScaling serves the same trace from 1 and from 16 goroutines and
+// checks what is exact at any width: every issued access is counted once
+// and the quiesced table is consistent. The throughput of the two widths
+// is logged, not asserted — wall-clock scaling is the benchmark's job
+// (engine_hot), and a comparison of two timings is not deterministic.
 func TestServeScaling(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skipf("GOMAXPROCS=%d: no parallelism to measure", runtime.GOMAXPROCS(0))
-	}
 	recs, dram, nvm := genTrace(t, "bodytrack", 0.05, 3)
 
 	run := func(goroutines int) float64 {
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			e, err := New(Config{DRAMPages: dram, NVMPages: nvm})
-			if err != nil {
+		e, err := New(Config{DRAMPages: dram, NVMPages: nvm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Warm: one serial pass populates the table.
+		for _, r := range recs {
+			if _, err := e.Serve(r.Addr, r.Op); err != nil {
 				t.Fatal(err)
-			}
-			if err := e.Start(); err != nil {
-				t.Fatal(err)
-			}
-			// Warm: one serial pass populates the table.
-			for _, r := range recs {
-				if _, err := e.Serve(r.Addr, r.Op); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rep, err := RunLoad(e, recs, LoadConfig{Goroutines: goroutines, Ops: 200000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Stop(); err != nil {
-				t.Fatal(err)
-			}
-			if rep.OpsPerSec > best {
-				best = rep.OpsPerSec
 			}
 		}
-		return best
+		rep, err := RunLoad(e, recs, LoadConfig{Goroutines: goroutines, Ops: 200000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if issued := int64(len(recs)) + rep.Ops; st.Accesses != issued {
+			t.Fatalf("%d goroutines: issued %d accesses, engine counted %d", goroutines, issued, st.Accesses)
+		}
+		if st.Hits()+st.Faults != st.Accesses {
+			t.Fatalf("%d goroutines: hits %d + faults %d != accesses %d", goroutines, st.Hits(), st.Faults, st.Accesses)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%d goroutines: %v", goroutines, err)
+		}
+		return rep.OpsPerSec
 	}
 
 	serial := run(1)
 	parallel := run(16)
-	t.Logf("ops/s: 1 goroutine %.0f, 16 goroutines %.0f (%.2fx)", serial, parallel, parallel/serial)
-	if parallel <= serial {
-		t.Fatalf("16 goroutines served %.0f ops/s, not above the single-goroutine %.0f", parallel, serial)
-	}
+	t.Logf("ops/s: 1 goroutine %.0f, 16 goroutines %.0f (%.2fx, GOMAXPROCS=%d)",
+		serial, parallel, parallel/serial, runtime.GOMAXPROCS(0))
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -456,8 +430,79 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		if _, err := New(Config{Policy: kind, DRAMPages: 8, NVMPages: 8}); err != nil {
 			t.Errorf("kind %s rejected: %v", kind, err)
 		}
-		if _, err := New(Config{Policy: kind, DRAMPages: 8, NVMPages: 8, Synchronous: true}); err != nil {
-			t.Errorf("kind %s (sync) rejected: %v", kind, err)
+	}
+}
+
+// TestEntryPointsShareAdmission drives the three entry points through every
+// way an access can be turned away before it touches the table. They share
+// one admit path, so each condition must produce the same sentinel from
+// all three and leave the counters untouched.
+func TestEntryPointsShareAdmission(t *testing.T) {
+	entries := []struct {
+		name string
+		call func(e *Engine, tenant TenantID, addr uint64) error
+	}{
+		{"ServeTenant", func(e *Engine, tenant TenantID, addr uint64) error {
+			_, err := e.ServeTenant(tenant, addr, trace.OpRead)
+			return err
+		}},
+		{"ServeTenantBatch", func(e *Engine, tenant TenantID, addr uint64) error {
+			n, err := e.ServeTenantBatch(tenant, []uint64{addr}, []trace.Op{trace.OpRead}, make([]ServeResult, 1))
+			if err != nil && n != 0 {
+				t.Errorf("rejected batch reports %d served", n)
+			}
+			return err
+		}},
+		{"Drop", func(e *Engine, tenant TenantID, addr uint64) error {
+			_, err := e.Drop(tenant, addr)
+			return err
+		}},
+	}
+	const unknown = TenantID(9)
+	states := []struct {
+		name   string
+		start  bool
+		stop   bool
+		tenant TenantID
+		addr   uint64
+		want   error
+	}{
+		{"not-started", false, false, DefaultTenant, 0, ErrNotStarted},
+		// The lifecycle gate comes first: an unknown tenant on an engine
+		// that is not serving reports the lifecycle error.
+		{"not-started/unknown-tenant", false, false, unknown, 0, ErrNotStarted},
+		{"stopped", true, true, DefaultTenant, 0, ErrStopped},
+		{"stopped/unknown-tenant", true, true, unknown, 0, ErrStopped},
+		{"unknown-tenant", true, false, unknown, 0, ErrUnknownTenant},
+		{"out-of-range", true, false, DefaultTenant, math.MaxUint64, ErrPageRange},
+		{"out-of-range/second-tenant", true, false, 1, math.MaxUint64, ErrPageRange},
+	}
+	for _, sc := range states {
+		for _, en := range entries {
+			t.Run(sc.name+"/"+en.name, func(t *testing.T) {
+				e, err := New(Config{DRAMPages: 8, NVMPages: 8, Shards: 4, ScanInterval: time.Hour,
+					Tenants: []TenantConfig{{ID: DefaultTenant, DRAMQuota: 4}, {ID: 1, DRAMQuota: 4}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.start {
+					if err := e.Start(); err != nil {
+						t.Fatal(err)
+					}
+					defer e.Stop()
+				}
+				if sc.stop {
+					if err := e.Stop(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := en.call(e, sc.tenant, sc.addr); !errors.Is(err, sc.want) {
+					t.Fatalf("err = %v, want %v", err, sc.want)
+				}
+				if st := e.Stats(); st != (Stats{}) {
+					t.Fatalf("rejected access changed the counters: %+v", st)
+				}
+			})
 		}
 	}
 }

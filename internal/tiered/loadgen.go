@@ -93,7 +93,7 @@ type LoadConfig struct {
 	// the A/B lever for measuring what batch amortization buys the serve
 	// path. Latency is then recorded as the per-access share of each
 	// batch's wall time, so Ops and throughput stay comparable across
-	// batch sizes. Not available on synchronous engines.
+	// batch sizes.
 	Batch int
 }
 

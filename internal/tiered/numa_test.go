@@ -131,8 +131,6 @@ func TestTopologyValidation(t *testing.T) {
 			Nodes:         []NodeConfig{{DRAMPages: 8, NVMPages: 8}},
 			RemotePenalty: 0.5,
 		}}, "remote penalty"},
-		{Config{DRAMPages: 8, NVMPages: 8, Synchronous: true, Topology: EvenTopology(2, 8, 8)},
-			"single-node topology"},
 	}
 	for i, tc := range cases {
 		_, err := New(tc.cfg)

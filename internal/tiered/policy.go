@@ -3,19 +3,17 @@ package tiered
 import (
 	"fmt"
 
-	"hybridmem/internal/clockdwf"
 	"hybridmem/internal/core"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/mm"
-	"hybridmem/internal/policy"
 	"hybridmem/internal/trace"
 )
 
 // Kind selects the migration policy the engine runs online.
 type Kind string
 
-// The policies that run online. Each maps to the same-named reference
-// policy that internal/sim drives single-threaded.
+// The policies that run online. Each is the epoch-windowed form of the
+// same-named reference policy that internal/sim drives single-threaded.
 const (
 	// Proposed is the paper's two-LRU scheme with windowed counters.
 	Proposed Kind = "proposed"
@@ -48,7 +46,7 @@ type EpochStats struct {
 	Promotions int64
 }
 
-// OnlinePolicy is the migration-decision plug of the asynchronous engine.
+// OnlinePolicy is the engine's migration-decision plug.
 // It sees only windowed per-page counters (gathered by the shard scans),
 // never queue positions: the online engine trades the reference policies'
 // exact LRU bookkeeping for a lock-free hit path, and approximates their
@@ -187,7 +185,7 @@ func (clockDWFOnline) FaultZone(op trace.Op) mm.Location {
 
 func (clockDWFOnline) Epoch(EpochStats) {}
 
-// newOnlinePolicy builds the asynchronous decision plug for a kind.
+// newOnlinePolicy builds the decision plug for a kind.
 func newOnlinePolicy(kind Kind, coreCfg core.Config, adCfg core.AdaptiveConfig) (OnlinePolicy, error) {
 	base := proposedOnline{
 		readThresh:  coreCfg.ReadThreshold,
@@ -203,22 +201,6 @@ func newOnlinePolicy(kind Kind, coreCfg core.Config, adCfg core.AdaptiveConfig) 
 		return &adaptiveOnline{proposedOnline: base, cfg: adCfg}, nil
 	case ClockDWF:
 		return clockDWFOnline{}, nil
-	default:
-		return nil, fmt.Errorf("tiered: unknown policy %q (have %v)", kind, Kinds())
-	}
-}
-
-// newBackingPolicy builds the single-threaded reference policy for a kind —
-// the exact implementation internal/sim drives — for the synchronous engine
-// mode and the equivalence check.
-func newBackingPolicy(kind Kind, dramFrames, nvmFrames int, coreCfg core.Config, adCfg core.AdaptiveConfig, dwfCfg clockdwf.Config) (policy.Policy, error) {
-	switch kind {
-	case Proposed:
-		return core.New(dramFrames, nvmFrames, coreCfg)
-	case Adaptive:
-		return core.NewAdaptive(dramFrames, nvmFrames, coreCfg, adCfg)
-	case ClockDWF:
-		return clockdwf.New(dramFrames, nvmFrames, dwfCfg)
 	default:
 		return nil, fmt.Errorf("tiered: unknown policy %q (have %v)", kind, Kinds())
 	}

@@ -8,16 +8,9 @@ import (
 	"hybridmem/internal/obs"
 )
 
-// Restore lifecycle errors.
-var (
-	// ErrRestoreStarted is returned by Restore after Start: residency can
-	// only be rebuilt into a quiesced table.
-	ErrRestoreStarted = errors.New("tiered: Restore must run before Start")
-	// ErrRestoreSync is returned in synchronous mode, where the reference
-	// policy owns residency and a side-channel insert would break the
-	// count-exact sim equivalence.
-	ErrRestoreSync = errors.New("tiered: Restore is unavailable in synchronous mode")
-)
+// ErrRestoreStarted is returned by Restore after Start: residency can
+// only be rebuilt into a quiesced table.
+var ErrRestoreStarted = errors.New("tiered: Restore must run before Start")
 
 // RestoredPage is one checkpointed page handed back to the engine at
 // restart. Pages restore into NVM — the durable tier — regardless of the
@@ -61,8 +54,8 @@ type RestoreStats struct {
 }
 
 // Restore rebuilds residency from checkpoint records. It must run between
-// New and Start, on an asynchronous engine: every record is inserted as an
-// NVM resident (frame accounting goes through the same per-node pools the
+// New and Start: every record is inserted as an NVM resident (frame
+// accounting goes through the same per-node pools the
 // fault path uses, so CheckInvariants holds afterwards), counters are
 // seeded with the checkpointed window, and Warm records queue for the
 // warm-up promotion storm that Start launches. With Config.WarmupDRAMTopK
@@ -75,9 +68,6 @@ type RestoreStats struct {
 // deployment restores as much as the current geometry allows.
 func (e *Engine) Restore(pages []RestoredPage) (RestoreStats, error) {
 	var st RestoreStats
-	if e.backing != nil {
-		return st, ErrRestoreSync
-	}
 	if e.state.Load() != stateNew {
 		return st, ErrRestoreStarted
 	}

@@ -9,9 +9,10 @@
 // and all page movement happens either on the (rare, disk-bound) fault path
 // or in a background daemon that drains a batched promotion queue fed by
 // per-shard hotness scans. The single-threaded reference implementation in
-// internal/sim remains the semantic oracle: an Engine built with
-// Config.Synchronous routes every access through the same policy code the
-// simulator runs, and VerifyAgainstSim asserts count-exact equivalence.
+// internal/sim remains the semantic oracle, but the engine approximates
+// its LRU windows with scan epochs and is not count-equivalent to it: the
+// fidelity test replays every Table III workload through both and pins
+// the measured divergence in testdata/fidelity.golden.
 //
 // The keyspace is multi-tenant: every page belongs to a TenantID whose
 // namespace is folded into the table key, each tenant has a DRAM quota
@@ -25,9 +26,7 @@
 // hand the tenant a frame — pool full, or node share spent with the
 // spill pool dry; counted per node), and the daemon runs one
 // scan/promotion pipeline per node. A single-tenant, single-node engine
-// is bit-compatible
-// with the original flat engine, which keeps the sim-equivalence gate
-// count-exact.
+// is bit-compatible with the original flat engine.
 package tiered
 
 import (

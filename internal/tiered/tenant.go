@@ -148,8 +148,7 @@ type tenantState struct {
 	cap int64
 	// priority is the tenant's promotion-interleave weight (>= 1).
 	priority int
-	// pol is the tenant's migration-decision plug (nil in synchronous
-	// mode, where the single backing policy decides for the one tenant).
+	// pol is the tenant's migration-decision plug.
 	pol OnlinePolicy
 
 	// nodeQuota apportions the tenant's DRAM quota across nodes in

@@ -52,33 +52,6 @@ func TestTenantConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSynchronousRejectsMultiTenant(t *testing.T) {
-	_, err := New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
-		Tenants: []TenantConfig{{ID: 0, DRAMQuota: 4}, {ID: 1, DRAMQuota: 4}},
-	})
-	if err == nil {
-		t.Fatal("synchronous multi-tenant engine accepted")
-	}
-	// A single non-default tenant is equally out: the reference policies
-	// know nothing about namespaces.
-	_, err = New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
-		Tenants: []TenantConfig{{ID: 1, DRAMQuota: 8}},
-	})
-	if err == nil {
-		t.Fatal("synchronous non-default tenant accepted")
-	}
-	// So is a partial quota: the reference policies would ignore it.
-	_, err = New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
-		Tenants: []TenantConfig{{ID: 0, DRAMQuota: 2}},
-	})
-	if err == nil {
-		t.Fatal("synchronous partial quota accepted")
-	}
-}
-
 // TestQuotalessTenantDemotesBorrowersOnly covers the spill-contention
 // corner: a tenant with no resident DRAM pages whose reservation needs a
 // token must make room inside an over-quota tenant — within-quota
