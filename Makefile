@@ -10,7 +10,7 @@ GO ?= go
 # point of running under the race detector.
 FAST_PKGS = $$($(GO) list ./... | grep -v internal/experiments)
 
-.PHONY: all build vet test race fidelity bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
+.PHONY: all build vet test race fuzz-smoke fidelity bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
 
 all: build test
 
@@ -31,6 +31,13 @@ test:
 # 30M accesses take minutes under it. `make test` runs it.
 race:
 	$(GO) test -race -skip '^TestFidelityAgainstSim$$' $(FAST_PKGS)
+
+# Ten seconds of the page table's fuzz target: put/get/delete streams over
+# colliding keys, checked against a Go map after every step. `make test`
+# already replays its seed corpus (the cases that break backward-shift
+# deletion); this looks for new ones.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/pagetable
 
 # The simulator-vs-engine divergence table the fidelity test logs, as a
 # file CI uploads next to the result artifacts.
@@ -281,4 +288,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check build vet test race fidelity bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke
+ci: fmt-check build vet test race fuzz-smoke fidelity bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke

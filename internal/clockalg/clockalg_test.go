@@ -211,3 +211,46 @@ func anyKey(rng *rand.Rand, m map[uint64]bool) uint64 {
 	}
 	panic("unreachable")
 }
+
+// TestCheckInvariantsCatchesSlabCorruption: a slab slot is on the ring or on
+// the free list, never both and never neither.
+func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
+	build := func(t *testing.T) *Ring[int] {
+		r := New[int]()
+		for k := uint64(1); k <= 4; k++ {
+			if err := r.Insert(k, int(k), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Remove(2) // one slot on the free list
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for name, corrupt := range map[string]func(r *Ring[int]){
+		"linked slot also on the free list": func(r *Ring[int]) {
+			r.nodes[r.free].next = r.hand
+		},
+		"linked slot is the free head": func(r *Ring[int]) {
+			r.free = r.hand
+		},
+		"free slot linked into the ring": func(r *Ring[int]) {
+			r.nodes[r.hand].next = r.free
+		},
+		"slot neither linked nor free": func(r *Ring[int]) {
+			r.free = none
+		},
+		"free slot not marked": func(r *Ring[int]) {
+			r.nodes[r.free].prev = none
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := build(t)
+			corrupt(r)
+			if err := r.CheckInvariants(); err == nil {
+				t.Error("CheckInvariants accepted the corrupted ring")
+			}
+		})
+	}
+}

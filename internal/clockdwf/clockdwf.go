@@ -157,14 +157,13 @@ func (p *Policy) Access(page uint64, op trace.Op) (policy.Result, error) {
 		return policy.Result{ServedFrom: mm.LocDRAM}, nil
 	}
 
-	if p.nvm.Contains(page) {
-		if op == trace.OpRead {
-			p.nvm.Reference(page)
+	if op == trace.OpRead {
+		if _, ok := p.nvm.Reference(page); ok {
 			return policy.Result{ServedFrom: mm.LocNVM, Moves: p.moves}, nil
 		}
+	} else if _, ok := p.nvm.Remove(page); ok {
 		// Write hit in NVM: CLOCK-DWF never writes to NVM; migrate the page
 		// to DRAM and service the write there.
-		p.nvm.Remove(page)
 		if p.dram.Len() == p.sys.Cap(mm.LocDRAM) {
 			// Both zones are full: the promotion displaces a DRAM victim
 			// into the frame the promoted page vacates (a DMA-buffered

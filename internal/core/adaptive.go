@@ -75,10 +75,11 @@ type Adaptive struct {
 	inner *Scheme
 	cfg   AdaptiveConfig
 
-	epochAccesses   int
-	epochPromotions int64
-	epochUseful     int64
-	promoted        map[uint64]bool
+	// The epoch's accesses so far, and the inner scheme's promotion and
+	// promoted-page-hit counts at the epoch's start.
+	epochAccesses  int
+	basePromotions int64
+	baseUseful     int64
 
 	// Adjustments counts threshold changes (for tests and reports).
 	Adjustments int
@@ -95,7 +96,7 @@ func NewAdaptive(dramFrames, nvmFrames int, base Config, cfg AdaptiveConfig) (*A
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptive{inner: inner, cfg: cfg, promoted: make(map[uint64]bool)}, nil
+	return &Adaptive{inner: inner, cfg: cfg}, nil
 }
 
 // Name implements policy.Policy.
@@ -113,19 +114,6 @@ func (a *Adaptive) Access(page uint64, op trace.Op) (policy.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	// A DRAM hit on a page we promoted is utility earned by its migration.
-	if !res.Fault && res.ServedFrom == mm.LocDRAM && len(res.Moves) == 0 && a.promoted[page] {
-		a.epochUseful++
-	}
-	for _, m := range res.Moves {
-		switch m.Reason {
-		case policy.ReasonPromotion:
-			a.promoted[m.Page] = true
-			a.epochPromotions++
-		case policy.ReasonDemoteFault, policy.ReasonDemotePromo, policy.ReasonEvict:
-			delete(a.promoted, m.Page)
-		}
-	}
 	a.epochAccesses++
 	if a.epochAccesses >= a.cfg.EpochLength {
 		a.adapt()
@@ -133,17 +121,22 @@ func (a *Adaptive) Access(page uint64, op trace.Op) (policy.Result, error) {
 	return res, nil
 }
 
-// adapt applies one hill-climbing step at an epoch boundary.
+// adapt applies one hill-climbing step at an epoch boundary. The inner
+// scheme keeps the two tallies it steers by: promotions, and DRAM hits on
+// pages that a promotion brought in and that have not been demoted since —
+// the utility those migrations earned.
 func (a *Adaptive) adapt() {
 	read, write := a.inner.Thresholds()
 	newRead, newWrite := read, write
+	promotions := a.inner.Migrations - a.basePromotions
+	useful := a.inner.promotedHits - a.baseUseful
 	switch {
-	case a.epochPromotions == 0:
+	case promotions == 0:
 		// No migrations happened: probe downward so hot pages stuck in NVM
 		// get a chance to move.
 		newRead, newWrite = read-1, write-1
 	default:
-		utility := float64(a.epochUseful) / float64(a.epochPromotions)
+		utility := float64(useful) / float64(promotions)
 		if utility < a.cfg.TargetUtility {
 			// Migrations are not earning their cost: demand more evidence.
 			newRead, newWrite = read*2, write*2
@@ -162,8 +155,8 @@ func (a *Adaptive) adapt() {
 		a.Adjustments++
 	}
 	a.epochAccesses = 0
-	a.epochPromotions = 0
-	a.epochUseful = 0
+	a.basePromotions = a.inner.Migrations
+	a.baseUseful = a.inner.promotedHits
 }
 
 func clamp(v, lo, hi int) int {

@@ -85,12 +85,23 @@ func (c Config) Validate() error {
 // for 4KB pages.
 type counters struct {
 	reads, writes int
+	// frame is the NVM frame the page occupies: simulator bookkeeping, not
+	// part of the scheme, kept here so that a hit reports where it landed
+	// without a second lookup.
+	frame int32
+}
+
+// dramEntry is the DRAM queue's per-page state: whether the page got here
+// by promotion (rather than by a fault), which is what the adaptive
+// extension's utility measure needs to know about a DRAM hit.
+type dramEntry struct {
+	promoted bool
 }
 
 // Scheme is the proposed migration policy.
 type Scheme struct {
 	cfg      Config
-	dram     *lru.List[struct{}]
+	dram     *lru.List[dramEntry]
 	nvm      *lru.List[counters]
 	readWin  lru.MarkerID
 	writeWin lru.MarkerID
@@ -100,6 +111,9 @@ type Scheme struct {
 	// Migrations counts NVM->DRAM promotions (exposed for the adaptive
 	// extension and for tests).
 	Migrations int64
+	// promotedHits counts DRAM hits on pages that are in DRAM by promotion:
+	// the utility those migrations earned.
+	promotedHits int64
 }
 
 var _ policy.Policy = (*Scheme)(nil)
@@ -118,7 +132,7 @@ func New(dramFrames, nvmFrames int, cfg Config) (*Scheme, error) {
 	}
 	s := &Scheme{
 		cfg:  cfg,
-		dram: lru.New[struct{}](),
+		dram: lru.New[dramEntry](),
 		nvm:  lru.New[counters](),
 		sys:  sys,
 	}
@@ -157,18 +171,20 @@ func (s *Scheme) Access(page uint64, op trace.Op) (policy.Result, error) {
 	s.moves = s.moves[:0]
 
 	// Line 1-3: DRAM holds the hottest pages, search it first.
-	if _, ok := s.dram.Touch(page); ok {
+	if e, ok := s.dram.Touch(page); ok {
+		if e.promoted {
+			s.promotedHits++
+		}
 		return policy.Result{ServedFrom: mm.LocDRAM}, nil
 	}
 
-	if s.nvm.Contains(page) {
-		// Lines 7-9: the LRU update pushes one page across each window
-		// boundary; the marker demotion callbacks reset its counters.
-		// Window membership is sampled before the update: "request is
-		// within readperc" refers to the page's position when it is hit.
-		inRead := s.nvm.InWindow(page, s.readWin)
-		inWrite := s.nvm.InWindow(page, s.writeWin)
-		v, _ := s.nvm.Touch(page)
+	// Lines 7-9: the LRU update pushes one page across each window
+	// boundary; the marker demotion callbacks reset its counters.
+	// Window membership is sampled before the update: "request is
+	// within readperc" refers to the page's position when it is hit.
+	if v, was, ok := s.nvm.Hit(page); ok {
+		inRead, inWrite := was.Has(s.readWin), was.Has(s.writeWin)
+		frame := v.frame
 
 		// Lines 10-22: update the counter for the request's kind.
 		migrate := false
@@ -195,7 +211,7 @@ func (s *Scheme) Access(page uint64, op trace.Op) (policy.Result, error) {
 				return policy.Result{}, err
 			}
 		}
-		return policy.Result{ServedFrom: mm.LocNVM, Moves: s.moves}, nil
+		return policy.Result{ServedFrom: mm.LocNVM, Moves: s.moves, Frame: frame}, nil
 	}
 
 	// Lines 27-28: page fault, always into DRAM.
@@ -208,7 +224,7 @@ func (s *Scheme) Access(page uint64, op trace.Op) (policy.Result, error) {
 // promote migrates a hot NVM page to the DRAM MRU position, demoting the
 // DRAM LRU tail into the vacated NVM frame when DRAM is full.
 func (s *Scheme) promote(page uint64) error {
-	s.nvm.Remove(page) // counters are dropped with the queue entry
+	v, _ := s.nvm.Remove(page) // counters are dropped with the queue entry
 	s.Migrations++
 	if s.dram.Len() == s.sys.Cap(mm.LocDRAM) {
 		victim, _, _ := s.dram.RemoveBack()
@@ -216,8 +232,9 @@ func (s *Scheme) promote(page uint64) error {
 			return err
 		}
 		// The demoted page enters the NVM queue like any newly arriving
-		// page: at the MRU head with fresh counters (Section IV).
-		if err := s.nvm.PushFront(victim, counters{}); err != nil {
+		// page: at the MRU head with fresh counters (Section IV), in the
+		// frame the promoted page left.
+		if err := s.nvm.PushFront(victim, counters{frame: v.frame}); err != nil {
 			return err
 		}
 		s.moves = append(s.moves,
@@ -230,7 +247,7 @@ func (s *Scheme) promote(page uint64) error {
 		s.moves = append(s.moves, policy.Move{
 			Page: page, From: mm.LocNVM, To: mm.LocDRAM, Reason: policy.ReasonPromotion})
 	}
-	return s.dram.PushFront(page, struct{}{})
+	return s.dram.PushFront(page, dramEntry{promoted: true})
 }
 
 // fault loads a missing page into DRAM, cascading the DRAM tail into NVM and
@@ -246,10 +263,11 @@ func (s *Scheme) fault(page uint64) error {
 			s.moves = append(s.moves, policy.Move{
 				Page: nvmVictim, From: mm.LocNVM, To: mm.LocDisk, Reason: policy.ReasonEvict})
 		}
-		if _, err := s.sys.Migrate(victim, mm.LocNVM); err != nil {
+		f, err := s.sys.Migrate(victim, mm.LocNVM)
+		if err != nil {
 			return err
 		}
-		if err := s.nvm.PushFront(victim, counters{}); err != nil {
+		if err := s.nvm.PushFront(victim, counters{frame: int32(f.Index)}); err != nil {
 			return err
 		}
 		s.moves = append(s.moves, policy.Move{
@@ -258,7 +276,7 @@ func (s *Scheme) fault(page uint64) error {
 	if _, err := s.sys.Place(page, mm.LocDRAM); err != nil {
 		return err
 	}
-	if err := s.dram.PushFront(page, struct{}{}); err != nil {
+	if err := s.dram.PushFront(page, dramEntry{}); err != nil {
 		return err
 	}
 	s.moves = append(s.moves, policy.Move{
@@ -304,8 +322,9 @@ func (s *Scheme) CheckInvariants() error {
 		}
 	}
 	for _, k := range s.nvm.Keys() {
-		if s.sys.Loc(k) != mm.LocNVM {
-			return fmt.Errorf("core: page %d in NVM queue but at %s", k, s.sys.Loc(k))
+		v, _ := s.nvm.Get(k)
+		if f, _ := s.sys.FrameOf(k); f.Zone != mm.LocNVM || f.Index != int(v.frame) {
+			return fmt.Errorf("core: page %d in NVM queue at frame %d, but system has it at %v", k, v.frame, f)
 		}
 	}
 	return nil

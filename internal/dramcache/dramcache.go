@@ -166,9 +166,12 @@ func (p *Policy) Access(page uint64, op trace.Op) (policy.Result, error) {
 	}
 
 	if _, ok := p.backing.Touch(page); ok {
-		// NVM hit: bump the page on the candidate list; pages that fall off
-		// the bounded list lose their count, so only pages re-referenced
-		// within the recency window can qualify.
+		// NVM hit, serviced by the frame the page sits in now, whether or
+		// not the hit goes on to earn it a cache fill.
+		at, _ := p.sys.FrameOf(page)
+		// Bump the page on the candidate list; pages that fall off the
+		// bounded list lose their count, so only pages re-referenced within
+		// the recency window can qualify.
 		count := 1
 		if n, ok := p.candidates.Touch(page); ok {
 			*n++
@@ -186,7 +189,7 @@ func (p *Policy) Access(page uint64, op trace.Op) (policy.Result, error) {
 				return policy.Result{}, err
 			}
 		}
-		return policy.Result{ServedFrom: mm.LocNVM, Moves: p.moves}, nil
+		return policy.Result{ServedFrom: mm.LocNVM, Moves: p.moves, Frame: int32(at.Index)}, nil
 	}
 
 	// Page fault: load into the NVM main memory.

@@ -392,3 +392,50 @@ func TestDemotionExactness(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsCatchesSlabCorruption breaks the slab the ways the old
+// one-allocation-per-node list could not be broken: a slot can be linked and
+// free at once, or neither.
+func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
+	build := func(t *testing.T) *List[int] {
+		l := New[int]()
+		for k := uint64(1); k <= 4; k++ {
+			if err := l.PushFront(k, int(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Remove(2) // one slot on the free list
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	for name, corrupt := range map[string]func(l *List[int]){
+		"linked slot also on the free list": func(l *List[int]) {
+			l.nodes[l.free].next = l.nodes[root].next
+		},
+		"linked slot is the free head": func(l *List[int]) {
+			l.free = l.nodes[root].prev
+		},
+		"free slot linked into the list": func(l *List[int]) {
+			l.nodes[l.nodes[root].prev].next = l.free
+		},
+		"slot neither linked nor free": func(l *List[int]) {
+			l.free = root
+		},
+		"free slot not marked": func(l *List[int]) {
+			l.nodes[l.free].prev = root
+		},
+		"back link broken": func(l *List[int]) {
+			l.nodes[l.nodes[root].prev].prev = root
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := build(t)
+			corrupt(l)
+			if err := l.CheckInvariants(); err == nil {
+				t.Error("CheckInvariants accepted the corrupted list")
+			}
+		})
+	}
+}

@@ -70,8 +70,11 @@ func TestQuickOpsMatchMirror(t *testing.T) {
 				m.pushFront(nextKey)
 				nextKey++
 			case kind == 1:
+				// Hit reports the windows as the mirror has them before the
+				// move.
 				k := m.keys[int(op/4)%len(m.keys)]
-				if _, ok := l.Touch(k); !ok {
+				_, was, ok := l.Hit(k)
+				if !ok || was.Has(0) != m.inWindow(k, 0) || was.Has(1) != m.inWindow(k, 1) {
 					return false
 				}
 				m.touch(k)

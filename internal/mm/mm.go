@@ -18,6 +18,8 @@ package mm
 import (
 	"errors"
 	"fmt"
+
+	"hybridmem/internal/pagetable"
 )
 
 // Location says where a data page currently lives.
@@ -52,27 +54,34 @@ type Frame struct {
 	Index int
 }
 
+// maxZoneFrames bounds a zone so that a frame packs into one page-table
+// value (zone in the low bit, index above it): 2^30 frames, 4 TiB of 4 KiB
+// pages.
+const maxZoneFrames = 1 << 30
+
 type zone struct {
 	capacity int
-	free     []int          // free frame indices (LIFO)
-	pageOf   map[int]uint64 // frame index -> resident page
-	wear     []uint64       // per-physical-frame line-write counters
+	free     []int32  // free frame indices (LIFO)
+	pageOf   []uint64 // frame index -> resident page, where used says so
+	used     []bool   // frame index -> a page resides here
+	wear     []uint64 // per-physical-frame line-write counters
 	// leveler, when set, remaps logical frame indices to physical ones for
 	// wear accounting (Start-Gap wear leveling; the zone gets one spare
 	// physical frame, so wear has capacity+1 entries).
 	leveler *StartGap
 }
 
-func newZone(capacity int) *zone {
-	z := &zone{
+func newZone(capacity int) zone {
+	z := zone{
 		capacity: capacity,
-		free:     make([]int, capacity),
-		pageOf:   make(map[int]uint64, capacity),
+		free:     make([]int32, capacity),
+		pageOf:   make([]uint64, capacity),
+		used:     make([]bool, capacity),
 		wear:     make([]uint64, capacity),
 	}
 	for i := range z.free {
 		// Allocate low indices first: free list is LIFO, so push high first.
-		z.free[i] = capacity - 1 - i
+		z.free[i] = int32(capacity - 1 - i)
 	}
 	return z
 }
@@ -81,21 +90,34 @@ func (z *zone) alloc(page uint64) (int, bool) {
 	if len(z.free) == 0 {
 		return 0, false
 	}
-	idx := z.free[len(z.free)-1]
+	idx := int(z.free[len(z.free)-1])
 	z.free = z.free[:len(z.free)-1]
-	z.pageOf[idx] = page
+	z.pageOf[idx], z.used[idx] = page, true
 	return idx, true
 }
 
 func (z *zone) release(idx int) {
-	delete(z.pageOf, idx)
-	z.free = append(z.free, idx)
+	z.pageOf[idx], z.used[idx] = 0, false
+	z.free = append(z.free, int32(idx))
 }
 
 // System is the two-zone physical memory with its inverted page table.
 type System struct {
-	zones map[Location]*zone
-	where map[uint64]Frame // resident pages only
+	zones [2]zone         // DRAM, NVM
+	where pagetable.Table // resident page -> packed Frame
+}
+
+// pack and unpack convert a Frame to and from a page-table value.
+func pack(f Frame) int32 { return int32(f.Index)<<1 | int32(f.Zone-LocDRAM) }
+
+func unpack(v int32) Frame { return Frame{Zone: LocDRAM + Location(v&1), Index: int(v >> 1)} }
+
+// zone returns the zone at a memory location, nil for any other.
+func (s *System) zone(loc Location) *zone {
+	if !loc.IsMemory() {
+		return nil
+	}
+	return &s.zones[loc-LocDRAM]
 }
 
 // NewSystem creates a memory with the given frame counts. A zone may have
@@ -108,18 +130,15 @@ func NewSystem(dramFrames, nvmFrames int) (*System, error) {
 	if dramFrames+nvmFrames == 0 {
 		return nil, errors.New("mm: memory needs at least one frame")
 	}
-	return &System{
-		zones: map[Location]*zone{
-			LocDRAM: newZone(dramFrames),
-			LocNVM:  newZone(nvmFrames),
-		},
-		where: make(map[uint64]Frame),
-	}, nil
+	if dramFrames > maxZoneFrames || nvmFrames > maxZoneFrames {
+		return nil, fmt.Errorf("mm: zone larger than %d frames", maxZoneFrames)
+	}
+	return &System{zones: [2]zone{newZone(dramFrames), newZone(nvmFrames)}}, nil
 }
 
 // Cap returns the total frame count of a zone.
 func (s *System) Cap(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
+	if z := s.zone(loc); z != nil {
 		return z.capacity
 	}
 	return 0
@@ -127,7 +146,7 @@ func (s *System) Cap(loc Location) int {
 
 // Free returns the number of unused frames in a zone.
 func (s *System) Free(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
+	if z := s.zone(loc); z != nil {
 		return len(z.free)
 	}
 	return 0
@@ -135,62 +154,68 @@ func (s *System) Free(loc Location) int {
 
 // Residents returns the number of pages currently in a zone.
 func (s *System) Residents(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
-		return len(z.pageOf)
+	if z := s.zone(loc); z != nil {
+		return z.capacity - len(z.free)
 	}
 	return 0
 }
 
 // Loc returns where a page currently lives (LocDisk if not resident).
 func (s *System) Loc(page uint64) Location {
-	if f, ok := s.where[page]; ok {
-		return f.Zone
+	if v, ok := s.where.Get(page); ok {
+		return unpack(v).Zone
 	}
 	return LocDisk
 }
 
 // FrameOf returns the frame a page occupies, if resident.
 func (s *System) FrameOf(page uint64) (Frame, bool) {
-	f, ok := s.where[page]
-	return f, ok
+	v, ok := s.where.Get(page)
+	if !ok {
+		return Frame{}, false
+	}
+	return unpack(v), true
 }
 
 // Place loads a non-resident page into the given zone (the page-fault path).
 func (s *System) Place(page uint64, loc Location) (Frame, error) {
-	if !loc.IsMemory() {
+	z := s.zone(loc)
+	if z == nil {
 		return Frame{}, fmt.Errorf("mm: cannot place page %d at %s", page, loc)
 	}
-	if f, ok := s.where[page]; ok {
-		return Frame{}, fmt.Errorf("mm: page %d already resident in %s", page, f.Zone)
-	}
-	idx, ok := s.zones[loc].alloc(page)
+	idx, ok := z.alloc(page)
 	if !ok {
-		return Frame{}, fmt.Errorf("mm: %s zone full (%d frames)", loc, s.zones[loc].capacity)
+		return Frame{}, fmt.Errorf("mm: %s zone full (%d frames)", loc, z.capacity)
 	}
 	f := Frame{Zone: loc, Index: idx}
-	s.where[page] = f
+	if v, inserted := s.where.Insert(page, pack(f)); !inserted {
+		z.release(idx)
+		return Frame{}, fmt.Errorf("mm: page %d already resident in %s", page, unpack(v).Zone)
+	}
 	return f, nil
 }
 
 // Migrate moves a resident page to the other memory zone.
 func (s *System) Migrate(page uint64, to Location) (Frame, error) {
-	if !to.IsMemory() {
+	dst := s.zone(to)
+	if dst == nil {
 		return Frame{}, fmt.Errorf("mm: cannot migrate page %d to %s", page, to)
 	}
-	from, ok := s.where[page]
-	if !ok {
+	at := s.where.Ref(page)
+	if at == nil {
 		return Frame{}, fmt.Errorf("mm: page %d not resident", page)
 	}
+	from := unpack(*at)
 	if from.Zone == to {
 		return Frame{}, fmt.Errorf("mm: page %d already in %s", page, to)
 	}
-	idx, free := s.zones[to].alloc(page)
+	idx, free := dst.alloc(page)
 	if !free {
 		return Frame{}, fmt.Errorf("mm: %s zone full", to)
 	}
-	s.zones[from.Zone].release(from.Index)
+	s.zone(from.Zone).release(from.Index)
 	f := Frame{Zone: to, Index: idx}
-	s.where[page] = f
+	*at = pack(f)
 	return f, nil
 }
 
@@ -198,28 +223,28 @@ func (s *System) Migrate(page uint64, to Location) (Frame, error) {
 // DMA-buffered page exchange used when a promotion must displace a victim
 // and both zones are full.
 func (s *System) Swap(a, b uint64) error {
-	fa, okA := s.where[a]
-	fb, okB := s.where[b]
-	if !okA || !okB {
-		return fmt.Errorf("mm: swap needs both pages resident (%d:%v, %d:%v)", a, okA, b, okB)
+	atA, atB := s.where.Ref(a), s.where.Ref(b)
+	if atA == nil || atB == nil {
+		return fmt.Errorf("mm: swap needs both pages resident (%d:%v, %d:%v)", a, atA != nil, b, atB != nil)
 	}
+	fa, fb := unpack(*atA), unpack(*atB)
 	if fa.Zone == fb.Zone {
 		return fmt.Errorf("mm: swap of %d and %d within %s", a, b, fa.Zone)
 	}
-	s.zones[fa.Zone].pageOf[fa.Index] = b
-	s.zones[fb.Zone].pageOf[fb.Index] = a
-	s.where[a], s.where[b] = fb, fa
+	s.zone(fa.Zone).pageOf[fa.Index] = b
+	s.zone(fb.Zone).pageOf[fb.Index] = a
+	*atA, *atB = *atB, *atA
 	return nil
 }
 
 // EvictToDisk removes a resident page from memory.
 func (s *System) EvictToDisk(page uint64) error {
-	f, ok := s.where[page]
+	v, ok := s.where.Delete(page)
 	if !ok {
 		return fmt.Errorf("mm: page %d not resident", page)
 	}
-	s.zones[f.Zone].release(f.Index)
-	delete(s.where, page)
+	f := unpack(v)
+	s.zone(f.Zone).release(f.Index)
 	return nil
 }
 
@@ -228,8 +253,8 @@ func (s *System) EvictToDisk(page uint64) error {
 // one spare physical frame for the rotating gap. Must be called before any
 // wear is recorded.
 func (s *System) EnableWearLeveling(loc Location, period int) error {
-	z, ok := s.zones[loc]
-	if !ok || !loc.IsMemory() {
+	z := s.zone(loc)
+	if z == nil {
 		return fmt.Errorf("mm: no zone at %v", loc)
 	}
 	if z.leveler != nil {
@@ -253,7 +278,7 @@ func (s *System) EnableWearLeveling(loc Location, period int) error {
 // performed (0 without leveling). Each move costs one page copy of
 // background overhead.
 func (s *System) GapMoves(loc Location) int64 {
-	if z, ok := s.zones[loc]; ok && z.leveler != nil {
+	if z := s.zone(loc); z != nil && z.leveler != nil {
 		return z.leveler.GapMoves
 	}
 	return 0
@@ -284,19 +309,19 @@ func (z *zone) chargeWear(index int, lineWrites uint64) error {
 // AddWear charges lineWrites line-sized writes to the frame holding page.
 // The endurance model uses per-frame wear to estimate NVM lifetime.
 func (s *System) AddWear(page uint64, lineWrites uint64) error {
-	f, ok := s.where[page]
+	f, ok := s.FrameOf(page)
 	if !ok {
 		return fmt.Errorf("mm: wear on non-resident page %d", page)
 	}
-	return s.zones[f.Zone].chargeWear(f.Index, lineWrites)
+	return s.zone(f.Zone).chargeWear(f.Index, lineWrites)
 }
 
 // AddWearFrame charges lineWrites to a specific frame. Used when the write
 // physically happened on a frame the page has since vacated (e.g. a write
 // hit that immediately triggered the page's migration).
 func (s *System) AddWearFrame(f Frame, lineWrites uint64) error {
-	z, ok := s.zones[f.Zone]
-	if !ok {
+	z := s.zone(f.Zone)
+	if z == nil {
 		return fmt.Errorf("mm: wear on unknown zone %v", f.Zone)
 	}
 	if f.Index < 0 || f.Index >= z.capacity {
@@ -315,8 +340,8 @@ type WearStats struct {
 // Wear returns the wear statistics of a zone.
 func (s *System) Wear(loc Location) WearStats {
 	var ws WearStats
-	z, ok := s.zones[loc]
-	if !ok {
+	z := s.zone(loc)
+	if z == nil {
 		return ws
 	}
 	for _, w := range z.wear {
@@ -331,29 +356,51 @@ func (s *System) Wear(loc Location) WearStats {
 	return ws
 }
 
-// CheckInvariants validates exclusive residence and zone accounting.
+// CheckInvariants validates exclusive residence and zone accounting: every
+// mapped page sits in a frame that is in use and names it back, every frame
+// in use is some mapped page's, and every other frame is on its zone's free
+// list exactly once.
 func (s *System) CheckInvariants() error {
-	counts := map[Location]int{}
-	for page, f := range s.where {
-		z, ok := s.zones[f.Zone]
-		if !ok {
-			return fmt.Errorf("mm: page %d in unknown zone %v", page, f.Zone)
+	var mapped [2]int
+	var err error
+	s.where.Range(func(page uint64, v int32) bool {
+		f := unpack(v)
+		z := s.zone(f.Zone)
+		switch {
+		case f.Index >= z.capacity:
+			err = fmt.Errorf("mm: page %d claims frame %v of a %d-frame zone", page, f, z.capacity)
+		case !z.used[f.Index]:
+			err = fmt.Errorf("mm: page %d claims frame %v, which is free", page, f)
+		case z.pageOf[f.Index] != page:
+			err = fmt.Errorf("mm: page %d claims frame %v, zone says page %d", page, f, z.pageOf[f.Index])
 		}
-		got, ok := z.pageOf[f.Index]
-		if !ok || got != page {
-			return fmt.Errorf("mm: page %d claims frame %v, zone says %d (%v)",
-				page, f, got, ok)
-		}
-		counts[f.Zone]++
+		mapped[f.Zone-LocDRAM]++
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	for loc, z := range s.zones {
-		if counts[loc] != len(z.pageOf) {
-			return fmt.Errorf("mm: %s has %d mapped pages but %d residents",
-				loc, counts[loc], len(z.pageOf))
+	for i := range s.zones {
+		z, loc := &s.zones[i], LocDRAM+Location(i)
+		used := 0
+		for _, u := range z.used {
+			if u {
+				used++
+			}
 		}
-		if len(z.pageOf)+len(z.free) != z.capacity {
+		if mapped[i] != used {
+			return fmt.Errorf("mm: %s has %d mapped pages but %d frames in use", loc, mapped[i], used)
+		}
+		if used+len(z.free) != z.capacity {
 			return fmt.Errorf("mm: %s frames leaked: %d used + %d free != %d",
-				loc, len(z.pageOf), len(z.free), z.capacity)
+				loc, used, len(z.free), z.capacity)
+		}
+		onFree := make([]bool, z.capacity)
+		for _, idx := range z.free {
+			if idx < 0 || int(idx) >= z.capacity || z.used[idx] || onFree[idx] {
+				return fmt.Errorf("mm: %s free list holds frame %d, which is in use, listed twice or out of range", loc, idx)
+			}
+			onFree[idx] = true
 		}
 	}
 	return nil

@@ -205,3 +205,65 @@ func anyPage(rng *rand.Rand, m map[uint64]bool) uint64 {
 	}
 	panic("unreachable")
 }
+
+// TestCheckInvariantsCatchesCorruption corrupts a System the ways a buggy
+// mutation could. With frames in slices, "this frame holds no page" is a
+// mark that can disagree with the page table, not the absence of a map key.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	build := func(t *testing.T) *System {
+		s, err := NewSystem(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for page, loc := range []Location{LocDRAM, LocNVM, LocNVM} {
+			if _, err := s.Place(uint64(page), loc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	nvm := func(s *System) *zone { return s.zone(LocNVM) }
+	for name, corrupt := range map[string]func(s *System){
+		"two pages claim one frame": func(s *System) {
+			*s.where.Ref(2) = *s.where.Ref(1)
+		},
+		"mapped frame marked free": func(s *System) {
+			f, _ := s.FrameOf(1)
+			nvm(s).used[f.Index] = false
+		},
+		"mapped frame on the free list": func(s *System) {
+			f, _ := s.FrameOf(1)
+			nvm(s).used[f.Index] = false
+			nvm(s).free = append(nvm(s).free, int32(f.Index))
+		},
+		"used frame no page claims": func(s *System) {
+			z := nvm(s)
+			idx := z.free[len(z.free)-1]
+			z.free = z.free[:len(z.free)-1]
+			z.used[idx], z.pageOf[idx] = true, 9
+		},
+		"frame names another page": func(s *System) {
+			f, _ := s.FrameOf(1)
+			nvm(s).pageOf[f.Index] = 9
+		},
+		"frame listed free twice": func(s *System) {
+			z := nvm(s)
+			z.free[0] = z.free[1]
+		},
+		"frame leaked": func(s *System) {
+			z := nvm(s)
+			z.free = z.free[:len(z.free)-1]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := build(t)
+			corrupt(s)
+			if err := s.CheckInvariants(); err == nil {
+				t.Error("CheckInvariants accepted the corrupted system")
+			}
+		})
+	}
+}

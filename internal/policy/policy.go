@@ -71,6 +71,13 @@ type Result struct {
 	ServedFrom mm.Location
 	// Fault reports that the page was not resident and was loaded from disk.
 	Fault bool
+	// Frame is, for a hit serviced by NVM, the index of the NVM frame the
+	// page occupied when the request was serviced, before any move the
+	// access went on to cause. The simulator charges a write hit's wear to
+	// it, so it takes no second lookup per access. Unspecified for DRAM hits
+	// and faults. (An int32 here keeps Result at four words, which the
+	// compiler passes and keeps in registers.)
+	Frame int32
 	// Moves lists the page movements in the order they happened.
 	Moves []Move
 }
@@ -91,7 +98,7 @@ type Policy interface {
 type singleZone struct {
 	name  string
 	loc   mm.Location
-	list  *lru.List[struct{}]
+	list  *lru.List[int32] // page -> the frame index it occupies
 	sys   *mm.System
 	moves []Move
 }
@@ -110,7 +117,7 @@ func newSingleZone(name string, loc mm.Location, frames int) (*singleZone, error
 	if err != nil {
 		return nil, err
 	}
-	return &singleZone{name: name, loc: loc, list: lru.New[struct{}](), sys: sys}, nil
+	return &singleZone{name: name, loc: loc, list: lru.New[int32](), sys: sys}, nil
 }
 
 // Name implements Policy.
@@ -122,8 +129,8 @@ func (p *singleZone) System() *mm.System { return p.sys }
 // Access implements Policy.
 func (p *singleZone) Access(page uint64, op trace.Op) (Result, error) {
 	p.moves = p.moves[:0]
-	if _, ok := p.list.Touch(page); ok {
-		return Result{ServedFrom: p.loc}, nil
+	if frame, ok := p.list.Touch(page); ok {
+		return Result{ServedFrom: p.loc, Frame: *frame}, nil
 	}
 	// Page fault. Evict the LRU page if the zone is full.
 	if p.list.Len() == p.sys.Cap(p.loc) {
@@ -133,10 +140,11 @@ func (p *singleZone) Access(page uint64, op trace.Op) (Result, error) {
 		}
 		p.moves = append(p.moves, Move{Page: victim, From: p.loc, To: mm.LocDisk, Reason: ReasonEvict})
 	}
-	if _, err := p.sys.Place(page, p.loc); err != nil {
+	f, err := p.sys.Place(page, p.loc)
+	if err != nil {
 		return Result{}, fmt.Errorf("policy %s: %w", p.name, err)
 	}
-	if err := p.list.PushFront(page, struct{}{}); err != nil {
+	if err := p.list.PushFront(page, int32(f.Index)); err != nil {
 		return Result{}, fmt.Errorf("policy %s: %w", p.name, err)
 	}
 	p.moves = append(p.moves, Move{Page: page, From: mm.LocDisk, To: p.loc, Reason: ReasonFault})

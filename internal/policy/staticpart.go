@@ -20,8 +20,8 @@ import (
 // pages first) that pins *cold* data in DRAM — an extreme but honest
 // illustration of why static placement fails and migration is needed.
 type StaticPartition struct {
-	dram  *lru.List[struct{}]
-	nvm   *lru.List[struct{}]
+	dram  *lru.List[int32] // both queues: page -> the frame index it occupies
+	nvm   *lru.List[int32]
 	sys   *mm.System
 	moves []Move
 }
@@ -39,8 +39,8 @@ func NewStaticPartition(dramFrames, nvmFrames int) (*StaticPartition, error) {
 		return nil, err
 	}
 	return &StaticPartition{
-		dram: lru.New[struct{}](),
-		nvm:  lru.New[struct{}](),
+		dram: lru.New[int32](),
+		nvm:  lru.New[int32](),
 		sys:  sys,
 	}, nil
 }
@@ -59,8 +59,8 @@ func (p *StaticPartition) Access(page uint64, op trace.Op) (Result, error) {
 	if _, ok := p.dram.Touch(page); ok {
 		return Result{ServedFrom: mm.LocDRAM}, nil
 	}
-	if _, ok := p.nvm.Touch(page); ok {
-		return Result{ServedFrom: mm.LocNVM}, nil
+	if frame, ok := p.nvm.Touch(page); ok {
+		return Result{ServedFrom: mm.LocNVM, Frame: *frame}, nil
 	}
 	// First-touch placement: DRAM while it has room, else NVM; once both
 	// are full, faults refill the NVM side (the larger, default zone).
@@ -78,10 +78,11 @@ func (p *StaticPartition) Access(page uint64, op trace.Op) (Result, error) {
 				Page: victim, From: mm.LocNVM, To: mm.LocDisk, Reason: ReasonEvict})
 		}
 	}
-	if _, err := p.sys.Place(page, loc); err != nil {
+	f, err := p.sys.Place(page, loc)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := list.PushFront(page, struct{}{}); err != nil {
+	if err := list.PushFront(page, int32(f.Index)); err != nil {
 		return Result{}, err
 	}
 	p.moves = append(p.moves, Move{Page: page, From: mm.LocDisk, To: loc, Reason: ReasonFault})

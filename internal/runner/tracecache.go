@@ -9,12 +9,13 @@ import (
 )
 
 // TraceGen is the generator shape the cache materializes: a deterministic
-// ROI stream plus the pre-ROI warmup stream and the scaled footprint.
-// workload.Generator and workload.Mix both satisfy it.
+// ROI stream of a known length plus the pre-ROI warmup stream and the scaled
+// footprint. workload.Generator and workload.Mix both satisfy it.
 type TraceGen interface {
 	trace.Source
 	WarmupSource(seed int64) trace.Source
 	Pages() int
+	TotalAccesses() int64
 }
 
 // Traces is a lazily materialized (warmup, ROI) trace pair. Materialize is
@@ -59,15 +60,11 @@ func (t *Traces) Materialize() (warm, roi []trace.Record, pages int, err error) 
 			t.err = err
 			return
 		}
-		if t.warm, err = trace.Materialize(gen.WarmupSource(t.seed+1), 0); err != nil {
-			t.err = err
-			return
-		}
-		if t.roi, err = trace.Materialize(gen, 0); err != nil {
-			t.err = err
-			return
-		}
+		// The warmup touches every page once and the ROI's length is the
+		// generator's request count, so neither slice ever grows.
 		t.pages = gen.Pages()
+		t.warm = trace.AppendAll(make([]trace.Record, 0, t.pages), gen.WarmupSource(t.seed+1))
+		t.roi = trace.AppendAll(make([]trace.Record, 0, gen.TotalAccesses()), gen)
 		t.ready.Store(true)
 		if t.onGen != nil {
 			t.onGen()

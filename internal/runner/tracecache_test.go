@@ -43,6 +43,8 @@ func (g *fakeGen) WarmupSource(seed int64) trace.Source {
 
 func (g *fakeGen) Pages() int { return g.pages }
 
+func (g *fakeGen) TotalAccesses() int64 { return int64(g.total) }
+
 func newFakeTraces(pages, total int, gens *atomic.Int64) *Traces {
 	tr := NewTraces(1, func() (TraceGen, error) {
 		return &fakeGen{pages: pages, total: total}, nil
@@ -125,9 +127,15 @@ func TestTraceCacheExactlyOncePerSpec(t *testing.T) {
 func TestTraceCacheReplayIsStable(t *testing.T) {
 	spec, _ := workload.ByName("blackscholes")
 	c := NewTraceCache()
-	_, roi, _, err := c.Get(spec, 0.01, 1).Materialize()
+	warm, roi, pages, err := c.Get(spec, 0.01, 1).Materialize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Both slices are allocated at their final size: the warmup is one
+	// record per page, the ROI the generator's request count.
+	if len(warm) != pages || cap(warm) != len(warm) || cap(roi) != len(roi) {
+		t.Errorf("warm len %d cap %d for %d pages, roi len %d cap %d: want exact sizes",
+			len(warm), cap(warm), pages, len(roi), cap(roi))
 	}
 	// A second cache regenerates; streams must be bit-identical.
 	_, roi2, _, err := NewTraceCache().Get(spec, 0.01, 1).Materialize()

@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/mm"
@@ -87,7 +88,9 @@ type Options struct {
 	// accesses (0 disables them; they are O(resident pages)).
 	CheckEvery int
 	// Shadow maintains an independent page-location map and validates every
-	// reported move against it. Used by integration tests.
+	// reported move against it, and checks the frame a policy reports for an
+	// NVM write hit against the physical map as it stood before the access.
+	// Used by integration tests.
 	Shadow bool
 	// SampleEvery records a cumulative counter snapshot every N accesses
 	// (0 disables sampling). Samples expose behaviour over time, e.g. the
@@ -114,7 +117,13 @@ func Run(src trace.Source, p policy.Policy, spec memspec.Spec, opts Options) (*R
 	}
 	pf := float64(spec.Geometry.PageFactor())
 	pfLines := uint64(spec.Geometry.PageFactor())
-	pageSize := spec.Geometry.PageSizeBytes
+	// Pages are a shift away when the page size is a power of two (Validate
+	// has checked it is positive); any other geometry divides.
+	pageSize := uint64(spec.Geometry.PageSizeBytes)
+	pageShift := -1
+	if pageSize&(pageSize-1) == 0 {
+		pageShift = bits.TrailingZeros64(pageSize)
+	}
 	sys := p.System()
 	res := &Result{
 		Policy:    p.Name(),
@@ -136,14 +145,19 @@ func Run(src trace.Source, p policy.Policy, spec memspec.Spec, opts Options) (*R
 		if !ok {
 			break
 		}
-		page := rec.Page(pageSize)
-		// Capture the frame a write lands on before the policy runs: the
-		// access may trigger the page's own migration, and the wear belongs
-		// to the frame the page occupied when the write was serviced.
+		var page uint64
+		if pageShift >= 0 {
+			page = rec.Addr >> pageShift
+		} else {
+			page = rec.Addr / pageSize
+		}
+		// A write hit in NVM wears the frame the page occupied when the
+		// write was serviced; the access may go on to trigger the page's own
+		// migration, so the policy reports that frame (Result.Frame). Only a
+		// shadowed run looks it up independently, before the policy runs.
 		var preFrame mm.Frame
-		var preResident bool
-		if rec.Op == trace.OpWrite {
-			preFrame, preResident = sys.FrameOf(page)
+		if shadow != nil && rec.Op == trace.OpWrite {
+			preFrame, _ = sys.FrameOf(page)
 		}
 		r, err := p.Access(page, rec.Op)
 		if err != nil {
@@ -180,10 +194,11 @@ func Run(src trace.Source, p policy.Policy, spec memspec.Spec, opts Options) (*R
 				// A write serviced in NVM wears by one line the frame the
 				// page occupied at service time (it may have migrated away
 				// within this very access).
-				if !preResident || preFrame.Zone != mm.LocNVM {
-					return nil, fmt.Errorf("sim: NVM write hit on page %d not previously in NVM", page)
+				at := mm.Frame{Zone: mm.LocNVM, Index: int(r.Frame)}
+				if shadow != nil && preFrame != at {
+					return nil, fmt.Errorf("sim: NVM write hit on page %d reported at %v, was at %v", page, at, preFrame)
 				}
-				if err := sys.AddWearFrame(preFrame, 1); err != nil {
+				if err := sys.AddWearFrame(at, 1); err != nil {
 					return nil, fmt.Errorf("sim: %w", err)
 				}
 			default:

@@ -82,12 +82,28 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // source was exhausted.
 var ErrTruncated = errors.New("trace: materialize limit reached before end of source")
 
+// AppendAll drains src onto the end of dst and returns the extended slice. A
+// caller that knows the stream's length passes a dst with that capacity and
+// pays for no growth.
+func AppendAll(dst []Record, src Source) []Record {
+	for {
+		r, ok := src.Next()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, r)
+	}
+}
+
 // Materialize drains src into a slice, up to max records (max <= 0 means
 // unlimited). It returns ErrTruncated if the limit cut the stream short.
 func Materialize(src Source, max int) ([]Record, error) {
+	if max <= 0 {
+		return AppendAll(nil, src), nil
+	}
 	var recs []Record
 	for {
-		if max > 0 && len(recs) == max {
+		if len(recs) == max {
 			if _, ok := src.Next(); ok {
 				return recs, ErrTruncated
 			}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hybridmem/internal/trace"
@@ -56,6 +57,7 @@ type Generator struct {
 	pRepeat       float64
 	pRun          float64
 	meanGap       float64
+	maxGap        float64 // gaps are capped here: 20 means, or what GapNS can hold
 	cpu           uint8
 }
 
@@ -91,6 +93,11 @@ func NewGenerator(spec Spec, scale float64, seed int64) (*Generator, error) {
 		// memGB * time-per-access stays what the full-size trace yields.
 		meanGap: spec.Pattern.MeanGapNS / scale,
 	}
+	// A gap is capped at 20 means, which a tiny scale inflates past what
+	// GapNS (uint32 ns) holds; converting an out-of-range float is
+	// implementation-defined, so such gaps saturate. MaxUint32-0.5 is the
+	// largest gap that rounds into range.
+	g.maxGap = math.Min(20*g.meanGap, math.MaxUint32-0.5)
 	g.resident = clampInt(int(spec.Pattern.ResidentFraction*float64(pages)+0.5), 1, pages-1)
 	g.archive = pages - g.resident
 	g.hot = clampInt(int(spec.Pattern.HotFraction*float64(pages)+0.5), 1, g.resident)
@@ -215,8 +222,8 @@ func (g *Generator) Next() (trace.Record, bool) {
 	gap := 0.0
 	if m := g.meanGap; m > 0 {
 		gap = g.rng.ExpFloat64() * m
-		if gap > 20*m {
-			gap = 20 * m
+		if gap > g.maxGap {
+			gap = g.maxGap
 		}
 	}
 	g.cpu = (g.cpu + 1) % cores

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -333,5 +334,33 @@ func TestQuickExactCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestGapSaturatesAtTinyScale(t *testing.T) {
+	// The CPU gap is inflated by 1/scale and capped at 20 means, which
+	// passes what GapNS (uint32 nanoseconds) holds once MeanGapNS/scale
+	// exceeds 2^32/20: blackscholes below scale 4.2e-5. Such a gap must
+	// saturate, not wrap. Table III's blackscholes has no requests left at
+	// 1e-5, so the test keeps its pattern and gives it more of them.
+	spec, _ := ByName("blackscholes")
+	spec.Reads *= 10000
+	const scale = 1e-5
+	g, err := NewGenerator(spec, scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := spec.Pattern.MeanGapNS / scale
+	saturated, n := 0, 0
+	for r, ok := g.Next(); ok; r, ok = g.Next() {
+		n++
+		if r.GapNS == math.MaxUint32 {
+			saturated++
+		}
+	}
+	// An exponential gap passes the limit with probability exp(-limit/mean).
+	want := float64(n) * math.Exp(-math.MaxUint32/mean)
+	if float64(saturated) < want/2 || float64(saturated) > want*2 {
+		t.Errorf("%d of %d gaps saturated, want about %.0f", saturated, n, want)
 	}
 }
