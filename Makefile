@@ -100,29 +100,20 @@ tierd-smoke:
 tierd-mt-smoke:
 	$(GO) run ./cmd/tierd -tenants 'bodytrack:40,canneal:30,ferret:30' -scale 0.02 -goroutines 4 -ops 200000 -json -out tierd-mt.json
 
-# NUMA smoke: two emulated nodes with per-node DRAM/NVM pools. The
-# artifact must contain one row per node and nonzero local AND remote
-# migration counts (home-node preference with remote fallback) — checked,
-# not just emitted, so a regression that stops cross-node fallback (or
-# drops the per-node rows) fails CI.
+# NUMA smoke: two emulated nodes with per-node DRAM/NVM pools, the
+# artifact kept for CI to upload. What it must hold — one row per node,
+# nonzero local AND remote migrations — is asserted by TestNUMASmoke in
+# cmd/tierd, which `make test` runs.
 tierd-numa-smoke:
 	$(GO) run ./cmd/tierd -workload bodytrack -scale 0.02 -goroutines 4 -ops 200000 -numa nodes=2,remote-penalty=1.8 -json -out tierd-numa.json
-	@python3 -c "\
-	import json; a = json.load(open('tierd-numa.json')); \
-	rows = [r for r in a['results'] if r['id'].startswith('node')]; \
-	assert len(rows) == 2, 'expected 2 per-node rows, got %d' % len(rows); \
-	v = a['results'][0]['values']; \
-	remote = v['remote_promotions'] + v['remote_demotions']; \
-	local = v['promotions'] + v['demotions'] - remote; \
-	assert local > 0 and remote > 0, 'migrations local=%d remote=%d, both must be nonzero' % (local, remote); \
-	print('tierd-numa-smoke: ok (%d local / %d remote migrations, %d node rows)' % (local, remote, len(rows)))"
 
-# Network smoke: build tierd once, start its RESP server in the
-# background, drive pipelined load at it from the benchmark client over
-# loopback, then SIGTERM the server and wait for the drain. Both
-# artifacts are then checked, not just emitted: the client must have
-# observed nonzero engine hits through the wire (the server_* fields it
-# fetches over STATS), and the server must report a clean drain.
+# Network smoke across a real process boundary: build tierd once, start
+# its RESP server in the background, drive pipelined load at it from the
+# benchmark client over loopback, then SIGTERM the server and wait for
+# the drain (a drain that is not clean exits nonzero). Both artifacts are
+# kept for CI to upload; their contents (engine hits seen over the wire,
+# batched dispatches, command counts, clean drain) are asserted by
+# TestNetSmoke in cmd/tierd.
 tierd-net-smoke:
 	$(GO) build -o tierd-net-bin ./cmd/tierd
 	@./tierd-net-bin -serve 127.0.0.1:16379 -workload bodytrack -scale 0.05 -json -out tierd-net-serve.json & \
@@ -131,17 +122,6 @@ tierd-net-smoke:
 		-connections 2 -pipeline 16 -ops 200000 -duration 30s -json -out tierd-net-client.json \
 		|| { kill $$SRV 2>/dev/null; exit 1; }; \
 	kill -TERM $$SRV && wait $$SRV
-	@python3 -c "\
-	import json; \
-	c = json.load(open('tierd-net-client.json'))['results'][0]['values']; \
-	s = json.load(open('tierd-net-serve.json'))['results'][0]['values']; \
-	hits = c.get('server_hits_dram', 0) + c.get('server_hits_nvm', 0); \
-	assert c['ops'] > 0, 'client completed no ops'; \
-	assert hits > 0, 'no engine hits observed over the wire'; \
-	assert s['clean_drain'] == 1, 'server drain was not clean'; \
-	assert s['commands'] >= c['ops'], 'server saw fewer commands than the client sent'; \
-	assert c.get('server_batched_ops', 0) > 0, 'server reported no batched dispatches'; \
-	print('tierd-net-smoke: ok (%d ops, %d hits, %d batched, %.0f ops/s, clean drain)' % (c['ops'], hits, c['server_batched_ops'], c['ops_per_sec']))"
 	@rm -f tierd-net-bin
 
 # Crash-recovery smoke: the persistence tentpole's end-to-end gate, three

@@ -3,8 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"hybridmem/internal/obs"
@@ -48,11 +47,12 @@ func (af adminFlags) ring() *obs.EventRing {
 // ckpt and loading are the optional persistence hooks from -persist:
 // the checkpointer's counters join the catalog, and /readyz reports
 // not-ready while loading() is true (the restore window).
-func startAdmin(af adminFlags, e *tiered.Engine, srv *server.Server,
+func startAdmin(o *options, e *tiered.Engine, srv *server.Server,
 	ring *obs.EventRing, ckpt *persist.Checkpointer, loading func() bool,
-	scale float64, seed int64) *obs.Admin {
+	stderr io.Writer) (*obs.Admin, error) {
+	af := o.admin
 	if af.addr == "" {
-		return nil
+		return nil, nil
 	}
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg)
@@ -81,26 +81,26 @@ func startAdmin(af adminFlags, e *tiered.Engine, srv *server.Server,
 		Invariants: e.CheckInvariants,
 		Profiles:   af.profiles,
 		Tool:       "tierd",
-		Scale:      scale,
-		Seed:       seed,
+		Scale:      o.scale,
+		Seed:       o.seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := adm.Listen(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "tierd: admin plane on %s (/metrics /healthz /readyz /events /debug/pprof)\n", adm.URL())
-	return adm
+	fmt.Fprintf(stderr, "tierd: admin plane on %s (/metrics /healthz /readyz /events /debug/pprof)\n", adm.URL())
+	return adm, nil
 }
 
 // stopAdmin shuts the admin plane down; nil-safe so call sites don't
 // branch on whether -admin was set.
-func stopAdmin(adm *obs.Admin) {
+func stopAdmin(adm *obs.Admin, stderr io.Writer) {
 	if adm == nil {
 		return
 	}
 	if err := adm.Shutdown(2 * time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "tierd: admin shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "tierd: admin shutdown: %v\n", err)
 	}
 }

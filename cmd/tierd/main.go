@@ -1,7 +1,8 @@
 // Command tierd benchmarks the online tiered-memory engine under
 // concurrent closed-loop load: it replays Table III workload traces from
-// many goroutines into internal/tiered and reports throughput, service
-// latency percentiles and migration activity.
+// many goroutines into internal/tiered (through internal/loadgen, the one
+// load driver behind both the in-process and the RESP client modes) and
+// reports throughput, service latency percentiles and migration activity.
 //
 //	go run ./cmd/tierd -workload bodytrack -goroutines 16 -duration 2s
 //	go run ./cmd/tierd -workload ferret -policy clock-dwf -shards 1 -ops 500000 -json
@@ -32,15 +33,15 @@
 // migration break-even figures derived from the remote penalty, and the
 // artifact gains one row per node.
 //
-// With -memstats (on by default), tierd snapshots runtime.MemStats around
-// the measured load phase and reports the process-wide allocation rate
-// (allocs/op and B/op across every access served) and the GC activity the
-// load induced (cycles and total stop-the-world pause). The serve hit path
-// is allocation-free by design, so a non-trivial allocs/op here is a
-// regression signal; the numbers ride along in the results/v1 artifact
-// (allocs_per_op, alloc_bytes_per_op, gc_cycles, gc_pause_total_ns) so CI
-// load runs expose allocation creep, not just latency creep. -memstats=false
-// drops the collection (two runtime.ReadMemStats stop-the-world points).
+// The in-process load modes snapshot runtime.MemStats around the measured
+// load phase (the two stop-the-world reads sit outside the timed window)
+// and report the process-wide allocation rate (allocs/op and B/op across
+// every access served) and the GC activity the load induced (cycles and
+// total stop-the-world pause). The serve hit path is allocation-free by
+// design, so a non-trivial allocs/op here is a regression signal; the
+// numbers ride along in the results/v1 artifact (allocs_per_op,
+// alloc_bytes_per_op, gc_cycles, gc_pause_total_ns) so CI load runs expose
+// allocation creep, not just latency creep.
 //
 // With -serve, tierd becomes a RESP (redis-protocol) server over the
 // engine: remote clients generate the load instead of in-process
@@ -73,145 +74,209 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
+	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
+	"hybridmem/internal/loadgen"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/obs"
-	"hybridmem/internal/runner"
+	"hybridmem/internal/results"
 	"hybridmem/internal/tiered"
 	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
 )
 
+// errBadFlags is returned after the flag package has already printed the
+// parse error and the usage text.
+var errBadFlags = errors.New("bad flags")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tierd: ")
-
-	var (
-		workloadName = flag.String("workload", "bodytrack", "Table III workload to replay (single-tenant mode)")
-		tenantsSpec  = flag.String("tenants", "", `multi-tenant mode: comma-separated workload:percent list, e.g. "bodytrack:40,canneal:30,ferret:30"; each percent is the tenant's DRAM quota share, the uncovered remainder is the shared spill pool`)
-		policyName   = flag.String("policy", string(tiered.Proposed), "migration policy (proposed, proposed-adaptive, clock-dwf)")
-		scale        = flag.Float64("scale", 0.05, "trace scale (1.0 = the paper's full trace sizes)")
-		seed         = flag.Int64("seed", 1, "trace generation seed (tenant i uses seed+i)")
-		goroutines   = flag.Int("goroutines", runtime.GOMAXPROCS(0), "closed-loop load goroutines (split across tenants in multi-tenant mode)")
-		duration     = flag.Duration("duration", 2*time.Second, "wall-clock budget (ignored when -ops is set)")
-		ops          = flag.Int64("ops", 0, "total access budget (0 = run for -duration)")
-		batch        = flag.Int("batch", 1, "serve accesses through the engine batch API in groups of this size (1 = one ServeTenant call per access) — the A/B lever for measuring batch amortization")
-		shards       = flag.Int("shards", 0, "page-table shards, rounded up to a power of two (0 = 4x GOMAXPROCS, 1 = single lock)")
-		numaSpec     = flag.String("numa", "", `NUMA emulation: "nodes=N[,remote-penalty=X]" splits DRAM and NVM into N per-node pools (even split, shard groups homed per node) and reports per-node ops, occupancy and local-vs-remote migrations`)
-		jsonOut      = flag.Bool("json", false, "emit a hybridmem.results/v1 artifact instead of text")
-		outPath      = flag.String("out", "", "write output to a file instead of stdout")
-		memStats     = flag.Bool("memstats", true, "report load-phase allocs/op and GC pause totals (runtime.ReadMemStats deltas)")
-
-		serveAddr   = flag.String("serve", "", `RESP server mode: listen on this address (e.g. "127.0.0.1:6380") and serve remote clients until SIGINT/SIGTERM; sizing comes from -workload or -tenants`)
-		connectAddr = flag.String("connect", "", "benchmark client mode: replay the -workload trace over RESP against a running tierd -serve at this address")
-		connections = flag.Int("connections", 4, "client mode: concurrent connections")
-		pipeline    = flag.Int("pipeline", 16, "client mode: pipelined commands per batch")
-		clientMode  = flag.String("client-mode", "closed", `client mode pacing: "closed" (next batch when the previous is answered) or "open" (fixed schedule from -rate; lateness counts as latency)`)
-		rate        = flag.Float64("rate", 0, "client mode, open loop: target total ops/s across all connections")
-		authToken   = flag.String("auth", "", "client mode: AUTH token sent on each connection (a tenant name, e.g. \"default\")")
-		maxConns    = flag.Int("max-conns", 0, "serve mode: connection cap; accepting past it evicts the least-recently-active connection (0 = server default)")
-		idleTimeout = flag.Duration("idle-timeout", 0, "serve mode: reap connections idle this long (0 = server default, negative disables)")
-		requireAuth = flag.Bool("require-auth", false, "serve mode: reject data commands until a successful AUTH")
-		persistDir  = flag.String("persist", "", "serve mode: checkpoint the NVM tier's residency into this directory and restore it on restart (data commands answer -LOADING until the restore finishes)")
-		ckptEvery   = flag.Duration("checkpoint-interval", time.Second, "serve mode with -persist: background checkpoint period")
-		ckptFull    = flag.Int("checkpoint-full-every", 8, "serve mode with -persist: cut a full snapshot every Nth checkpoint and O(dirty) delta cuts in between (1 = every cut full)")
-		warmupTopK  = flag.Int("warmup-dram-topk", 0, "serve mode with -persist: restore up to this many of the hottest checkpoint-warm pages directly into DRAM before serving (0 = storm-only warm-up)")
-		kpi         = flag.Bool("kpi", false, "client mode: sample the server's hit rate over STATS and report time-to-90%-of-steady-state (the recovery KPI)")
-
-		adminAddr = flag.String("admin", "", `admin plane: HTTP listen address (e.g. "127.0.0.1:6060") exposing /metrics (Prometheus text), /healthz, /readyz, /events (migration trace ring) and /debug/pprof; works in -serve and the in-process load modes`)
-		pprofCont = flag.Bool("pprof-contention", false, "admin plane: enable mutex and block profiling (adds sampling overhead; off by default)")
-		traceRing = flag.Int("trace-ring", obs.DefaultRingSize, "admin plane: migration trace ring capacity in events (rounded up to a power of two); size it above the run's expected migration count to keep the whole trace")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		log.Fatalf("unexpected arguments %v", flag.Args())
-	}
-	if *goroutines <= 0 {
-		log.Fatalf("-goroutines must be positive, got %d", *goroutines)
-	}
-	if *scale <= 0 {
-		log.Fatalf("-scale must be positive, got %g", *scale)
-	}
-	if *ops < 0 {
-		log.Fatalf("-ops must be non-negative, got %d", *ops)
-	}
-	if *batch < 1 {
-		log.Fatalf("-batch must be at least 1, got %d", *batch)
-	}
-	if !tiered.ValidKind(tiered.Kind(*policyName)) {
-		log.Fatalf("unknown -policy %q (have %v)", *policyName, tiered.Kinds())
-	}
-	numa, err := parseNUMA(*numaSpec)
-	if err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errBadFlags):
+		os.Exit(2)
+	default:
 		log.Fatal(err)
 	}
-	admin := adminFlags{addr: *adminAddr, profiles: *pprofCont, ringSize: *traceRing}
-	if admin.profiles && admin.addr == "" {
-		log.Fatal("-pprof-contention requires -admin (the profiles are served there)")
+}
+
+// run is tierd behind its process boundary: parse and validate args, then
+// dispatch to the server, the RESP client or the in-process load run.
+// Results go to stdout (or -out), progress and usage to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	switch {
+	case o.serveAddr != "":
+		ctx, stop := signalContext(stderr)
+		defer stop()
+		return serve(ctx, o, stdout, stderr)
+	case o.connectAddr != "":
+		return connect(o, stdout)
+	}
+	return load(o, stdout, stderr)
+}
+
+// signalContext is cancelled by the first SIGINT/SIGTERM, which starts the
+// server's drain. A second one while the drain is in progress forces an
+// immediate exit with status 130, skipping the final checkpoint — the
+// escape hatch when a drain hangs.
+func signalContext(stderr io.Writer) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sig := make(chan os.Signal, 2) // both signals may land before the goroutine runs
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		select {
+		case <-sig:
+		case <-ctx.Done():
+			return
+		}
+		cancel()
+		<-sig
+		fmt.Fprintln(stderr, "tierd: second signal, forcing exit")
+		os.Exit(130)
+	}()
+	return ctx, cancel
+}
+
+// options is the parsed command line.
+type options struct {
+	workload, tenants, policy string
+	scale                     float64
+	seed                      int64
+	goroutines                int
+	duration                  time.Duration
+	ops                       int64
+	batch, shards             int
+	numa                      numaFlags
+	jsonOut                   bool
+	outPath                   string
+
+	serveAddr, connectAddr string
+	connections, pipeline  int
+	openLoop               bool
+	rate                   float64
+	auth                   string
+	maxConns               int
+	idleTimeout            time.Duration
+	requireAuth            bool
+	persistDir             string
+	ckptInterval           time.Duration
+	ckptFullEvery          int
+	warmupTopK             int
+	kpi                    bool
+
+	admin adminFlags
+}
+
+// parseFlags parses and validates the command line; every rejection is a
+// returned error, so tests drive it in-process.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	var numaSpec, clientMode string
+	fs := flag.NewFlagSet("tierd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.workload, "workload", "bodytrack", "Table III workload to replay (single-tenant mode)")
+	fs.StringVar(&o.tenants, "tenants", "", `multi-tenant mode: comma-separated workload:percent list, e.g. "bodytrack:40,canneal:30,ferret:30"; each percent is the tenant's DRAM quota share, the uncovered remainder is the shared spill pool`)
+	fs.StringVar(&o.policy, "policy", string(tiered.Proposed), "migration policy (proposed, proposed-adaptive, clock-dwf)")
+	fs.Float64Var(&o.scale, "scale", 0.05, "trace scale (1.0 = the paper's full trace sizes)")
+	fs.Int64Var(&o.seed, "seed", 1, "trace generation seed (tenant i uses seed+i)")
+	fs.IntVar(&o.goroutines, "goroutines", runtime.GOMAXPROCS(0), "closed-loop load goroutines (split across tenants in multi-tenant mode)")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "wall-clock budget (ignored when -ops is set)")
+	fs.Int64Var(&o.ops, "ops", 0, "total access budget (0 = run for -duration)")
+	fs.IntVar(&o.batch, "batch", 1, "serve accesses through the engine batch API in groups of this size (1 = one ServeTenant call per access) — the A/B lever for measuring batch amortization")
+	fs.IntVar(&o.shards, "shards", 0, "page-table shards, rounded up to a power of two (0 = 4x GOMAXPROCS, 1 = single lock)")
+	fs.StringVar(&numaSpec, "numa", "", `NUMA emulation: "nodes=N[,remote-penalty=X]" splits DRAM and NVM into N per-node pools (even split, shard groups homed per node) and reports per-node ops, occupancy and local-vs-remote migrations`)
+	fs.BoolVar(&o.jsonOut, "json", false, "emit a hybridmem.results/v1 artifact instead of text")
+	fs.StringVar(&o.outPath, "out", "", "write output to a file instead of stdout")
+
+	fs.StringVar(&o.serveAddr, "serve", "", `RESP server mode: listen on this address (e.g. "127.0.0.1:6380") and serve remote clients until SIGINT/SIGTERM; sizing comes from -workload or -tenants`)
+	fs.StringVar(&o.connectAddr, "connect", "", "benchmark client mode: replay the -workload trace over RESP against a running tierd -serve at this address")
+	fs.IntVar(&o.connections, "connections", 4, "client mode: concurrent connections")
+	fs.IntVar(&o.pipeline, "pipeline", 16, "client mode: pipelined commands per batch")
+	fs.StringVar(&clientMode, "client-mode", "closed", `client mode pacing: "closed" (next batch when the previous is answered) or "open" (fixed schedule from -rate; lateness counts as latency)`)
+	fs.Float64Var(&o.rate, "rate", 0, "client mode, open loop: target total ops/s across all connections")
+	fs.StringVar(&o.auth, "auth", "", "client mode: AUTH token sent on each connection (a tenant name, e.g. \"default\")")
+	fs.IntVar(&o.maxConns, "max-conns", 0, "serve mode: connection cap; accepting past it evicts the least-recently-active connection (0 = server default)")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 0, "serve mode: reap connections idle this long (0 = server default, negative disables)")
+	fs.BoolVar(&o.requireAuth, "require-auth", false, "serve mode: reject data commands until a successful AUTH")
+	fs.StringVar(&o.persistDir, "persist", "", "serve mode: checkpoint the NVM tier's residency into this directory and restore it on restart (data commands answer -LOADING until the restore finishes)")
+	fs.DurationVar(&o.ckptInterval, "checkpoint-interval", time.Second, "serve mode with -persist: background checkpoint period")
+	fs.IntVar(&o.ckptFullEvery, "checkpoint-full-every", 8, "serve mode with -persist: cut a full snapshot every Nth checkpoint and O(dirty) delta cuts in between (1 = every cut full)")
+	fs.IntVar(&o.warmupTopK, "warmup-dram-topk", 0, "serve mode with -persist: restore up to this many of the hottest checkpoint-warm pages directly into DRAM before serving (0 = storm-only warm-up)")
+	fs.BoolVar(&o.kpi, "kpi", false, "client mode: sample the server's hit rate over STATS and report time-to-90%-of-steady-state (the recovery KPI)")
+
+	fs.StringVar(&o.admin.addr, "admin", "", `admin plane: HTTP listen address (e.g. "127.0.0.1:6060") exposing /metrics (Prometheus text), /healthz, /readyz, /events (migration trace ring) and /debug/pprof; works in -serve and the in-process load modes`)
+	fs.BoolVar(&o.admin.profiles, "pprof-contention", false, "admin plane: enable mutex and block profiling (adds sampling overhead; off by default)")
+	fs.IntVar(&o.admin.ringSize, "trace-ring", obs.DefaultRingSize, "admin plane: migration trace ring capacity in events (rounded up to a power of two); size it above the run's expected migration count to keep the whole trace")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errBadFlags
 	}
 
-	if *serveAddr != "" || *connectAddr != "" {
-		if *serveAddr != "" && *connectAddr != "" {
-			log.Fatal("-serve and -connect are mutually exclusive (run them as two processes)")
-		}
-		nf := netFlags{
-			serveAddr:     *serveAddr,
-			connectAddr:   *connectAddr,
-			connections:   *connections,
-			pipeline:      *pipeline,
-			openLoop:      *clientMode == "open",
-			rate:          *rate,
-			auth:          *authToken,
-			maxConns:      *maxConns,
-			idleTimeout:   *idleTimeout,
-			requireAuth:   *requireAuth,
-			persistDir:    *persistDir,
-			ckptInterval:  *ckptEvery,
-			ckptFullEvery: *ckptFull,
-			warmupTopK:    *warmupTopK,
-			kpi:           *kpi,
-			admin:         admin,
-		}
-		if *clientMode != "open" && *clientMode != "closed" {
-			log.Fatalf("-client-mode %q unknown (have open, closed)", *clientMode)
-		}
-		if *persistDir != "" && *serveAddr == "" {
-			log.Fatal("-persist requires -serve (the server owns the checkpoint)")
-		}
-		if *ckptEvery <= 0 {
-			log.Fatal("-checkpoint-interval must be positive")
-		}
-		if *ckptFull < 1 {
-			log.Fatal("-checkpoint-full-every must be at least 1")
-		}
-		if *warmupTopK < 0 {
-			log.Fatal("-warmup-dram-topk must be non-negative")
-		}
-		if *kpi && *connectAddr == "" {
-			log.Fatal("-kpi requires -connect (the KPI is sampled client-side)")
-		}
-		if *serveAddr != "" {
-			runServe(nf, *outPath, *workloadName, *tenantsSpec, *policyName, *scale, *seed, *shards, numa, *jsonOut)
-		} else {
-			runConnect(nf, *outPath, *workloadName, *scale, *seed, *duration, *ops, *jsonOut)
-		}
-		return
+	var err error
+	if o.numa, err = parseNUMA(numaSpec); err != nil {
+		return nil, err
 	}
-
-	if *tenantsSpec != "" {
-		runMultiTenant(*outPath, *tenantsSpec, *policyName, *scale, *seed, *goroutines, *duration, *ops, *batch, *shards, numa, admin, *jsonOut, *memStats)
-		return
+	o.openLoop = clientMode == "open"
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments %v", fs.Args())
+	case o.goroutines <= 0:
+		err = fmt.Errorf("-goroutines must be positive, got %d", o.goroutines)
+	case o.scale <= 0:
+		err = fmt.Errorf("-scale must be positive, got %g", o.scale)
+	case o.ops < 0:
+		err = fmt.Errorf("-ops must be non-negative, got %d", o.ops)
+	case o.batch < 1:
+		err = fmt.Errorf("-batch must be at least 1, got %d", o.batch)
+	case !tiered.ValidKind(tiered.Kind(o.policy)):
+		err = fmt.Errorf("unknown -policy %q (have %v)", o.policy, tiered.Kinds())
+	case o.admin.profiles && o.admin.addr == "":
+		err = errors.New("-pprof-contention requires -admin (the profiles are served there)")
+	case o.serveAddr != "" && o.connectAddr != "":
+		err = errors.New("-serve and -connect are mutually exclusive (run them as two processes)")
+	case clientMode != "open" && clientMode != "closed":
+		err = fmt.Errorf("-client-mode %q unknown (have open, closed)", clientMode)
+	case o.persistDir != "" && o.serveAddr == "":
+		err = errors.New("-persist requires -serve (the server owns the checkpoint)")
+	case o.ckptInterval <= 0:
+		err = errors.New("-checkpoint-interval must be positive")
+	case o.ckptFullEvery < 1:
+		err = errors.New("-checkpoint-full-every must be at least 1")
+	case o.warmupTopK < 0:
+		err = errors.New("-warmup-dram-topk must be non-negative")
+	case o.kpi && o.connectAddr == "":
+		err = errors.New("-kpi requires -connect (the KPI is sampled client-side)")
+	case o.connections < 1:
+		err = fmt.Errorf("-connections must be positive, got %d", o.connections)
+	case o.pipeline < 1:
+		err = fmt.Errorf("-pipeline must be positive, got %d", o.pipeline)
+	case o.openLoop && o.rate <= 0 && o.connectAddr != "":
+		err = errors.New("-client-mode open needs -rate (target ops/s)")
 	}
-	runSingleTenant(*outPath, *workloadName, *policyName, *scale, *seed, *goroutines, *duration, *ops, *batch, *shards, numa, admin, *jsonOut, *memStats)
+	if err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // numaFlags is the parsed -numa emulation spec.
@@ -263,243 +328,25 @@ func (n numaFlags) topology(dram, nvm int) tiered.Topology {
 	return t
 }
 
-// nodeDeltas subtracts a baseline NodeStats snapshot, so reports cover
-// only the measured load phase.
-func nodeDeltas(after, before []tiered.NodeStats) []tiered.NodeStats {
-	out := make([]tiered.NodeStats, len(after))
-	for i := range after {
-		out[i] = after[i].Sub(before[i])
-	}
-	return out
-}
-
-// writeNodeText renders the per-node report lines (nothing on a single
-// node, where the aggregate lines already tell the whole story).
-func writeNodeText(w io.Writer, e *tiered.Engine, nodes []tiered.NodeStats) error {
-	if e.NumNodes() <= 1 {
-		return nil
-	}
-	topo := e.Topology()
-	spec := e.Config().Spec
-	if _, err := fmt.Fprintf(w, "numa:       %d nodes, remote penalty %.2fx, break-even %d local / %d remote hits\n",
-		e.NumNodes(), topo.RemotePenalty, tiered.BreakEvenHits(spec), topo.BreakEvenHitsRemote(spec)); err != nil {
-		return err
-	}
-	for _, ns := range nodes {
-		_, err := fmt.Fprintf(w, "node %d:     %d/%d DRAM, %d/%d NVM frames; %d ops; faults %d local / %d remote; promotions %d/%d; demotions %d/%d\n",
-			ns.ID, ns.ResidentDRAM, ns.DRAMPages, ns.ResidentNVM, ns.NVMPages, ns.Accesses,
-			ns.FaultsLocal, ns.FaultsRemote,
-			ns.PromotionsLocal, ns.PromotionsRemote,
-			ns.DemotionsLocal, ns.DemotionsRemote)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addNodeResults appends one artifact row per node (multi-node runs only).
-func addNodeResults(a *runner.Artifact, e *tiered.Engine, nodes []tiered.NodeStats, seed int64) {
-	if e.NumNodes() <= 1 {
-		return
-	}
-	cfg := e.Config()
-	for _, ns := range nodes {
-		a.Add(runner.Result{
-			ID:        fmt.Sprintf("node%d/%s", ns.ID, e.PolicyName()),
-			Workload:  "node",
-			Policy:    e.PolicyName(),
-			Seed:      seed,
-			DRAMPages: int(ns.DRAMPages),
-			NVMPages:  int(ns.NVMPages),
-			Params: map[string]float64{
-				"node":           float64(ns.ID),
-				"nodes":          float64(e.NumNodes()),
-				"remote_penalty": cfg.Topology.RemotePenalty,
-			},
-			Values: map[string]float64{
-				"ops":               float64(ns.Accesses),
-				"resident_dram":     float64(ns.ResidentDRAM),
-				"resident_nvm":      float64(ns.ResidentNVM),
-				"faults_local":      float64(ns.FaultsLocal),
-				"faults_remote":     float64(ns.FaultsRemote),
-				"promotions_local":  float64(ns.PromotionsLocal),
-				"promotions_remote": float64(ns.PromotionsRemote),
-				"demotions_local":   float64(ns.DemotionsLocal),
-				"demotions_remote":  float64(ns.DemotionsRemote),
-			},
-		})
-	}
-}
-
-// memReport is the load phase's process-wide allocation and GC delta,
-// measured as runtime.MemStats differences around the measured window.
-// The serve hit path allocates nothing, so AllocsPerOp on a healthy run is
-// a small fraction (daemon batches, histograms, fault-path entries).
-type memReport struct {
-	enabled     bool
-	allocsPerOp float64
-	bytesPerOp  float64
-	gcCycles    uint32
-	gcPause     time.Duration
-}
-
-// memDelta summarizes the load window between two MemStats snapshots.
-func memDelta(before, after runtime.MemStats, ops int64) memReport {
-	m := memReport{
-		enabled:  true,
-		gcCycles: after.NumGC - before.NumGC,
-		gcPause:  time.Duration(after.PauseTotalNs - before.PauseTotalNs),
-	}
-	if ops > 0 {
-		m.allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(ops)
-		m.bytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
-	}
-	return m
-}
-
-// values folds the memory report into an artifact value map.
-func (m memReport) values(v map[string]float64) map[string]float64 {
-	if !m.enabled {
-		return v
-	}
-	v["allocs_per_op"] = m.allocsPerOp
-	v["alloc_bytes_per_op"] = m.bytesPerOp
-	v["gc_cycles"] = float64(m.gcCycles)
-	v["gc_pause_total_ns"] = float64(m.gcPause.Nanoseconds())
-	return v
-}
-
-// text renders the memory report's human line (empty when disabled).
-func (m memReport) text() string {
-	if !m.enabled {
-		return ""
-	}
-	return fmt.Sprintf("memory:     %.3f allocs/op, %.1f B/op, GC %d cycles, %v total pause\n",
-		m.allocsPerOp, m.bytesPerOp, m.gcCycles, m.gcPause)
-}
-
-// writeOut runs write against stdout or the -out file. The file is only
-// created here, after the run has succeeded, so a failed run never
-// truncates a previous artifact.
-func writeOut(outPath string, write func(io.Writer) error) {
-	if outPath == "" {
-		if err := write(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// genTenantTrace materializes one workload's warmup and ROI traces.
-func genTenantTrace(name string, scale float64, seed int64) (warm, roi []trace.Record, pages int) {
-	spec, ok := workload.ByName(name)
-	if !ok {
-		log.Fatalf("unknown workload %q (have %v)", name, workload.Names())
-	}
-	gen, err := workload.NewGenerator(spec, scale, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warm, err = trace.Materialize(gen.WarmupSource(seed+1), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	roi, err = trace.Materialize(gen, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return warm, roi, gen.Pages()
-}
-
-func runSingleTenant(outPath, workloadName, policyName string, scale float64, seed int64,
-	goroutines int, duration time.Duration, ops int64, batch, shards int, numa numaFlags,
-	admin adminFlags, jsonOut, memStats bool) {
-	warm, roi, pages := genTenantTrace(workloadName, scale, seed)
-	dram, nvm := memspec.DefaultSizing().Partition(pages)
-
-	ring := admin.ring()
-	engine, err := tiered.New(tiered.Config{
-		Policy:    tiered.Kind(policyName),
-		DRAMPages: dram,
-		NVMPages:  nvm,
-		Shards:    shards,
-		Topology:  numa.topology(dram, nvm),
-		Events:    ring,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := engine.Start(); err != nil {
-		log.Fatal(err)
-	}
-	adm := startAdmin(admin, engine, nil, ring, nil, nil, scale, seed)
-	// Warm serially so the measured phase starts from a populated table,
-	// then snapshot the counters: the report covers only the load phase.
-	for _, r := range warm {
-		if _, err := engine.Serve(r.Addr, r.Op); err != nil {
-			log.Fatal(err)
-		}
-	}
-	base := engine.Stats()
-	nodeBase := engine.NodeStats()
-
-	loadCfg := tiered.LoadConfig{Goroutines: goroutines, Ops: ops, Batch: batch}
-	if ops <= 0 {
-		loadCfg.Duration = duration
-	}
-	var msBefore, msAfter runtime.MemStats
-	if memStats {
-		runtime.ReadMemStats(&msBefore)
-	}
-	rep, err := tiered.RunLoad(engine, roi, loadCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if memStats {
-		runtime.ReadMemStats(&msAfter)
-	}
-	if err := engine.Stop(); err != nil {
-		log.Fatal(err)
-	}
-	stopAdmin(adm)
-	st := engine.Stats().Sub(base)
-	nodes := nodeDeltas(engine.NodeStats(), nodeBase)
-	var mem memReport
-	if memStats {
-		mem = memDelta(msBefore, msAfter, rep.Ops)
-	}
-
-	writeOut(outPath, func(w io.Writer) error {
-		if jsonOut {
-			return writeArtifact(w, engine, rep, st, nodes, mem, workloadName, scale, seed, goroutines)
-		}
-		return writeText(w, engine, rep, st, nodes, mem, workloadName, dram, nvm, goroutines)
-	})
-}
-
-// tenantShare is one parsed -tenants entry.
-type tenantShare struct {
-	workload string
-	percent  int
+// tenantRun is one tenant's setup and, after a load run, its outcome.
+// -workload is a one-entry list with no quota (percent 0) served as the
+// engine's default tenant.
+type tenantRun struct {
+	id         tiered.TenantID
+	workload   string
+	percent    int
+	seed       int64
+	goroutines int
+	warm, roi  []trace.Record
+	report     loadgen.Report
+	stats      tiered.TenantStats
 }
 
 // parseTenants parses a "workload:percent,..." spec. Percents must be
 // positive and total at most 100; the uncovered remainder becomes the
 // shared spill pool.
-func parseTenants(spec string) ([]tenantShare, error) {
-	var shares []tenantShare
+func parseTenants(spec string) ([]*tenantRun, error) {
+	var runs []*tenantRun
 	sum := 0
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -515,198 +362,183 @@ func parseTenants(spec string) ([]tenantShare, error) {
 			return nil, fmt.Errorf("tenant entry %q: percent must be positive", part)
 		}
 		sum += pct
-		shares = append(shares, tenantShare{workload: name, percent: pct})
+		runs = append(runs, &tenantRun{workload: name, percent: pct})
 	}
 	if sum > 100 {
 		return nil, fmt.Errorf("tenant quota shares total %d%%, must be at most 100%%", sum)
 	}
-	return shares, nil
+	return runs, nil
 }
 
-// tenantRun is one tenant's full setup and outcome.
-type tenantRun struct {
-	id         tiered.TenantID
-	workload   string
-	percent    int
-	seed       int64
-	goroutines int
-	warm, roi  []trace.Record
-	report     tiered.LoadReport
-	stats      tiered.TenantStats
-}
-
-func runMultiTenant(outPath, spec, policyName string, scale float64, seed int64,
-	goroutines int, duration time.Duration, ops int64, batch, shards int, numa numaFlags,
-	admin adminFlags, jsonOut, memStats bool) {
-	shares, err := parseTenants(spec)
+// generate sizes the tenant's workload footprint and, with traces,
+// materializes its warmup and ROI traces.
+func (r *tenantRun) generate(scale float64, traces bool) (pages int, err error) {
+	spec, ok := workload.ByName(r.workload)
+	if !ok {
+		return 0, fmt.Errorf("unknown workload %q (have %v)", r.workload, workload.Names())
+	}
+	gen, err := workload.NewGenerator(spec, scale, r.seed)
 	if err != nil {
-		log.Fatal(err)
+		return 0, err
 	}
+	if traces {
+		if r.warm, err = trace.Materialize(gen.WarmupSource(r.seed+1), 0); err != nil {
+			return 0, err
+		}
+		if r.roi, err = trace.Materialize(gen, 0); err != nil {
+			return 0, err
+		}
+	}
+	return gen.Pages(), nil
+}
 
-	runs := make([]*tenantRun, len(shares))
+// sizeEngine resolves -workload / -tenants into the tenant list and the
+// engine config sized for its combined footprint by the paper's rule —
+// the one sizing every engine-hosting mode shares. Tenant i replays seed+i
+// and gets its round-robin share of -goroutines, at least one.
+func sizeEngine(o *options, traces bool) ([]*tenantRun, tiered.Config, error) {
+	runs := []*tenantRun{{workload: o.workload}}
+	if o.tenants != "" {
+		var err error
+		if runs, err = parseTenants(o.tenants); err != nil {
+			return nil, tiered.Config{}, err
+		}
+	}
 	totalPages := 0
-	for i, sh := range shares {
-		tenantSeed := seed + int64(i)
-		warm, roi, pages := genTenantTrace(sh.workload, scale, tenantSeed)
-		totalPages += pages
-		runs[i] = &tenantRun{
-			id:       tiered.TenantID(i),
-			workload: sh.workload,
-			percent:  sh.percent,
-			seed:     tenantSeed,
-			warm:     warm,
-			roi:      roi,
-		}
-	}
-	dram, nvm := memspec.DefaultSizing().Partition(totalPages)
-
-	tenants := make([]tiered.TenantConfig, len(runs))
 	for i, r := range runs {
-		tenants[i] = tiered.TenantConfig{
-			ID:        r.id,
-			Name:      fmt.Sprintf("%d:%s", r.id, r.workload),
-			DRAMQuota: dram * r.percent / 100,
-		}
-		// Split the goroutine budget round-robin, at least one each.
-		r.goroutines = goroutines / len(runs)
-		if i < goroutines%len(runs) {
+		r.id, r.seed = tiered.TenantID(i), o.seed+int64(i)
+		r.goroutines = o.goroutines / len(runs)
+		if i < o.goroutines%len(runs) {
 			r.goroutines++
 		}
-		if r.goroutines == 0 {
-			r.goroutines = 1
+		r.goroutines = max(r.goroutines, 1)
+		pages, err := r.generate(o.scale, traces)
+		if err != nil {
+			return nil, tiered.Config{}, err
 		}
+		totalPages += pages
 	}
-
-	ring := admin.ring()
-	engine, err := tiered.New(tiered.Config{
-		Policy:    tiered.Kind(policyName),
+	dram, nvm := memspec.DefaultSizing().Partition(totalPages)
+	cfg := tiered.Config{
+		Policy:    tiered.Kind(o.policy),
 		DRAMPages: dram,
 		NVMPages:  nvm,
-		Shards:    shards,
-		Topology:  numa.topology(dram, nvm),
-		Tenants:   tenants,
-		Events:    ring,
-	})
+		Shards:    o.shards,
+		Topology:  o.numa.topology(dram, nvm),
+	}
+	if o.tenants != "" {
+		for _, r := range runs {
+			cfg.Tenants = append(cfg.Tenants, tiered.TenantConfig{
+				ID:        r.id,
+				Name:      fmt.Sprintf("%d:%s", r.id, r.workload),
+				DRAMQuota: dram * r.percent / 100,
+			})
+		}
+	}
+	return runs, cfg, nil
+}
+
+// loadReport is the outcome of an in-process load run: everything the text
+// and artifact renderings need, already reduced to the measured phase.
+type loadReport struct {
+	engine *tiered.Engine
+	runs   []*tenantRun
+	multi  bool
+	agg    loadgen.Report
+	stats  tiered.Stats
+	nodes  []tiered.NodeStats
+	// Process-wide allocation and GC deltas over the load window. The
+	// serve hit path allocates nothing, so allocsPerOp on a healthy run is
+	// a small fraction (daemon batches, fault-path entries).
+	allocsPerOp, bytesPerOp float64
+	gcCycles                uint32
+	gcPause                 time.Duration
+}
+
+// load is the in-process run path for -workload and -tenants alike: build
+// the engine, warm it, measure the load phase, report.
+func load(o *options, stdout, stderr io.Writer) error {
+	runs, cfg, err := sizeEngine(o, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	ring := o.admin.ring()
+	cfg.Events = ring
+	engine, err := tiered.New(cfg)
+	if err != nil {
+		return err
 	}
 	if err := engine.Start(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	adm := startAdmin(admin, engine, nil, ring, nil, nil, scale, seed)
-	// Warm each tenant serially, then snapshot: the report covers only
-	// the concurrent load phase.
+	defer engine.Stop() // idempotent: the error paths' stop
+	adm, err := startAdmin(o, engine, nil, ring, nil, nil, stderr)
+	if err != nil {
+		return err
+	}
+	defer stopAdmin(adm, stderr)
+	rep, err := measure(o, engine, runs)
+	if err != nil {
+		return err
+	}
+	return emit(o, stdout, rep.artifact(o), rep.text())
+}
+
+// measure warms each tenant serially so the measured phase starts from a
+// populated table, snapshots the counters, drives the load, stops the
+// engine and reduces every counter to the load phase.
+func measure(o *options, e *tiered.Engine, runs []*tenantRun) (*loadReport, error) {
 	for _, r := range runs {
 		for _, rec := range r.warm {
-			if _, err := engine.ServeTenant(r.id, rec.Addr, rec.Op); err != nil {
-				log.Fatal(err)
+			if _, err := e.ServeTenant(r.id, rec.Addr, rec.Op); err != nil {
+				return nil, err
 			}
 		}
 	}
-	base := engine.Stats()
-	nodeBase := engine.NodeStats()
-	tenantBase := make([]tiered.TenantStats, len(runs))
+	base, nodeBase := e.Stats(), e.NodeStats()
+	loads := make([]loadgen.Load, len(runs))
 	for i, r := range runs {
-		tenantBase[i], _ = engine.TenantStats(r.id)
+		r.stats, _ = e.TenantStats(r.id) // the base; reduced to the load phase below
+		loads[i] = loadgen.Load{Recs: r.roi, Workers: r.goroutines, Open: loadgen.Engine(e, r.id)}
+	}
+	cfg := loadgen.Config{Ops: o.ops, Unit: o.batch}
+	if o.ops <= 0 {
+		cfg.Duration = o.duration
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := loadgen.Run(loads, cfg)
+	if err != nil {
+		return nil, err
+	}
+	runtime.ReadMemStats(&after)
+	if err := e.Stop(); err != nil {
+		return nil, err
 	}
 
-	loads := make([]tiered.TenantLoad, len(runs))
+	rep := &loadReport{
+		engine:   e,
+		runs:     runs,
+		multi:    o.tenants != "",
+		agg:      res.Aggregate,
+		stats:    e.Stats().Sub(base),
+		nodes:    e.NodeStats(),
+		gcCycles: after.NumGC - before.NumGC,
+		gcPause:  time.Duration(after.PauseTotalNs - before.PauseTotalNs),
+	}
+	if ops := float64(rep.agg.Ops); ops > 0 {
+		rep.allocsPerOp = float64(after.Mallocs-before.Mallocs) / ops
+		rep.bytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
+	}
+	for i := range rep.nodes {
+		rep.nodes[i] = rep.nodes[i].Sub(nodeBase[i])
+	}
 	for i, r := range runs {
-		loads[i] = tiered.TenantLoad{Tenant: r.id, Recs: r.roi, Goroutines: r.goroutines}
-	}
-	loadCfg := tiered.LoadConfig{Ops: ops, Batch: batch}
-	if ops <= 0 {
-		loadCfg.Duration = duration
-	}
-	var msBefore, msAfter runtime.MemStats
-	if memStats {
-		runtime.ReadMemStats(&msBefore)
-	}
-	rep, err := tiered.RunTenantLoad(engine, loads, loadCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if memStats {
-		runtime.ReadMemStats(&msAfter)
-	}
-	if err := engine.Stop(); err != nil {
-		log.Fatal(err)
-	}
-	stopAdmin(adm)
-	st := engine.Stats().Sub(base)
-	nodes := nodeDeltas(engine.NodeStats(), nodeBase)
-	var mem memReport
-	if memStats {
-		mem = memDelta(msBefore, msAfter, rep.Aggregate.Ops)
-	}
-	for i, r := range runs {
-		cur, _ := engine.TenantStats(r.id)
-		r.stats = cur.Sub(tenantBase[i])
-		r.report = rep.Tenants[i].Report
-	}
-
-	writeOut(outPath, func(w io.Writer) error {
-		if jsonOut {
-			return writeTenantArtifact(w, engine, runs, rep, st, nodes, mem, scale, seed)
-		}
-		return writeTenantText(w, engine, runs, rep, st, nodes, mem, dram, nvm)
-	})
-}
-
-func writeText(w io.Writer, e *tiered.Engine, rep *tiered.LoadReport, st tiered.Stats,
-	nodes []tiered.NodeStats, mem memReport, name string, dram, nvm, goroutines int) error {
-	shards := e.Config().Shards
-	_, err := fmt.Fprintf(w, `tierd: %s under %s, DRAM %d + NVM %d frames, %d shards, %d goroutines
-throughput: %12.0f ops/s (%d ops in %v)
-latency:    p50 %v, p95 %v, p99 %v, max %v
-placement:  %.1f%% DRAM hits, %.1f%% NVM hits, %d faults
-migration:  %d promotions, %d demotions (%d fault, %d promo), %d evictions
-daemon:     %d scans, %d batches, %d queue drops
-%s`,
-		name, e.PolicyName(), dram, nvm, shards, goroutines,
-		rep.OpsPerSec, rep.Ops, rep.Elapsed.Round(time.Millisecond),
-		rep.P50, rep.P95, rep.P99, rep.Max,
-		pct(st.HitsDRAM(), st.Accesses), pct(st.HitsNVM(), st.Accesses), st.Faults,
-		st.Promotions, st.Demotions, st.DemotionsFault, st.DemotionsPromo, st.Evictions,
-		st.Scans, st.Batches, st.QueueDrops, mem.text())
-	if err != nil {
-		return err
-	}
-	return writeNodeText(w, e, nodes)
-}
-
-func writeTenantText(w io.Writer, e *tiered.Engine, runs []*tenantRun, rep *tiered.MultiLoadReport,
-	st tiered.Stats, nodes []tiered.NodeStats, mem memReport, dram, nvm int) error {
-	agg := rep.Aggregate
-	_, err := fmt.Fprintf(w, `tierd: %d tenants under %s, DRAM %d + NVM %d frames (%d spill), %d shards
-aggregate:  %12.0f ops/s (%d ops in %v), p50 %v, p99 %v
-migration:  %d promotions, %d demotions, %d evictions; %d scans, %d batches, %d queue drops
-%s`,
-		len(runs), e.PolicyName(), dram, nvm, e.SpillPool(), e.Config().Shards,
-		agg.OpsPerSec, agg.Ops, agg.Elapsed.Round(time.Millisecond), agg.P50, agg.P99,
-		st.Promotions, st.Demotions, st.Evictions, st.Scans, st.Batches, st.QueueDrops, mem.text())
-	if err != nil {
-		return err
-	}
-	if err := writeNodeText(w, e, nodes); err != nil {
-		return err
-	}
-	for _, r := range runs {
 		cur, _ := e.TenantStats(r.id)
-		_, err := fmt.Fprintf(w, `tenant %-16s %2d%% quota (%d frames, cap %d), %d goroutines
-  throughput: %12.0f ops/s, latency p50 %v p95 %v p99 %v
-  placement:  %.1f%% DRAM hits, %d faults, %d promotions, %d demotions
-  occupancy:  %d/%d DRAM frames (%.0f%% of cap)
-`,
-			cur.Name, r.percent, cur.DRAMQuota, cur.DRAMCap, r.goroutines,
-			r.report.OpsPerSec, r.report.P50, r.report.P95, r.report.P99,
-			pct(r.stats.HitsDRAM, r.stats.Accesses), r.stats.Faults, r.stats.Promotions, r.stats.Demotions,
-			cur.ResidentDRAM, cur.DRAMCap, pct(cur.ResidentDRAM, cur.DRAMCap))
-		if err != nil {
-			return err
-		}
+		r.stats = cur.Sub(r.stats)
+		r.report = res.Loads[i]
 	}
-	return nil
+	return rep, nil
 }
 
 func pct(part, whole int64) float64 {
@@ -716,39 +548,113 @@ func pct(part, whole int64) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
-func writeArtifact(w io.Writer, e *tiered.Engine, rep *tiered.LoadReport, st tiered.Stats,
-	nodes []tiered.NodeStats, mem memReport, name string, scale float64, seed int64,
-	goroutines int) error {
-	a := runner.NewArtifact("tierd", "serve", scale, seed)
-	cfg := e.Config()
-	a.Add(runner.Result{
-		ID:        fmt.Sprintf("%s/%s/g%d", name, e.PolicyName(), goroutines),
-		Workload:  name,
+// text renders the human report: the single-tenant or the aggregate
+// header, the memory and per-node lines both share, then one block per
+// tenant in multi-tenant mode.
+func (rep *loadReport) text() string {
+	e, st, agg, cfg := rep.engine, rep.stats, rep.agg, rep.engine.Config()
+	var b strings.Builder
+	if rep.multi {
+		fmt.Fprintf(&b, `tierd: %d tenants under %s, DRAM %d + NVM %d frames (%d spill), %d shards
+aggregate:  %12.0f ops/s (%d ops in %v), p50 %v, p99 %v
+migration:  %d promotions, %d demotions, %d evictions; %d scans, %d batches, %d queue drops
+`,
+			len(rep.runs), e.PolicyName(), cfg.DRAMPages, cfg.NVMPages, e.SpillPool(), cfg.Shards,
+			agg.OpsPerSec, agg.Ops, agg.Elapsed.Round(time.Millisecond), agg.P50, agg.P99,
+			st.Promotions, st.Demotions, st.Evictions, st.Scans, st.Batches, st.QueueDrops)
+	} else {
+		fmt.Fprintf(&b, `tierd: %s under %s, DRAM %d + NVM %d frames, %d shards, %d goroutines
+throughput: %12.0f ops/s (%d ops in %v)
+latency:    p50 %v, p95 %v, p99 %v, max %v
+placement:  %.1f%% DRAM hits, %.1f%% NVM hits, %d faults
+migration:  %d promotions, %d demotions (%d fault, %d promo), %d evictions
+daemon:     %d scans, %d batches, %d queue drops
+`,
+			rep.runs[0].workload, e.PolicyName(), cfg.DRAMPages, cfg.NVMPages, cfg.Shards, rep.runs[0].goroutines,
+			agg.OpsPerSec, agg.Ops, agg.Elapsed.Round(time.Millisecond),
+			agg.P50, agg.P95, agg.P99, agg.Max,
+			pct(st.HitsDRAM(), st.Accesses), pct(st.HitsNVM(), st.Accesses), st.Faults,
+			st.Promotions, st.Demotions, st.DemotionsFault, st.DemotionsPromo, st.Evictions,
+			st.Scans, st.Batches, st.QueueDrops)
+	}
+	fmt.Fprintf(&b, "memory:     %.3f allocs/op, %.1f B/op, GC %d cycles, %v total pause\n",
+		rep.allocsPerOp, rep.bytesPerOp, rep.gcCycles, rep.gcPause)
+	// Per-node lines: nothing on a single node, where the aggregate lines
+	// already tell the whole story.
+	if e.NumNodes() > 1 {
+		topo := e.Topology()
+		fmt.Fprintf(&b, "numa:       %d nodes, remote penalty %.2fx, break-even %d local / %d remote hits\n",
+			e.NumNodes(), topo.RemotePenalty, tiered.BreakEvenHits(cfg.Spec), topo.BreakEvenHitsRemote(cfg.Spec))
+		for _, ns := range rep.nodes {
+			fmt.Fprintf(&b, "node %d:     %d/%d DRAM, %d/%d NVM frames; %d ops; faults %d local / %d remote; promotions %d/%d; demotions %d/%d\n",
+				ns.ID, ns.ResidentDRAM, ns.DRAMPages, ns.ResidentNVM, ns.NVMPages, ns.Accesses,
+				ns.FaultsLocal, ns.FaultsRemote,
+				ns.PromotionsLocal, ns.PromotionsRemote,
+				ns.DemotionsLocal, ns.DemotionsRemote)
+		}
+	}
+	if !rep.multi {
+		return b.String()
+	}
+	for _, r := range rep.runs {
+		cur, _ := e.TenantStats(r.id)
+		fmt.Fprintf(&b, `tenant %-16s %2d%% quota (%d frames, cap %d), %d goroutines
+  throughput: %12.0f ops/s, latency p50 %v p95 %v p99 %v
+  placement:  %.1f%% DRAM hits, %d faults, %d promotions, %d demotions
+  occupancy:  %d/%d DRAM frames (%.0f%% of cap)
+`,
+			cur.Name, r.percent, cur.DRAMQuota, cur.DRAMCap, r.goroutines,
+			r.report.OpsPerSec, r.report.P50, r.report.P95, r.report.P99,
+			pct(r.stats.HitsDRAM, r.stats.Accesses), r.stats.Faults, r.stats.Promotions, r.stats.Demotions,
+			cur.ResidentDRAM, cur.DRAMCap, pct(cur.ResidentDRAM, cur.DRAMCap))
+	}
+	return b.String()
+}
+
+// latencyValues are the throughput and latency keys every load row carries.
+func latencyValues(r loadgen.Report) map[string]float64 {
+	return map[string]float64{
+		"ops":         float64(r.Ops),
+		"ops_per_sec": r.OpsPerSec,
+		"p50_ns":      float64(r.P50.Nanoseconds()),
+		"p95_ns":      float64(r.P95.Nanoseconds()),
+		"p99_ns":      float64(r.P99.Nanoseconds()),
+		"max_ns":      float64(r.Max.Nanoseconds()),
+	}
+}
+
+// artifact renders the results/v1 form: the run's row (kind "serve" for
+// -workload, "serve-multitenant" for -tenants), one row per node on a
+// multi-node topology, one row per tenant in multi-tenant mode.
+func (rep *loadReport) artifact(o *options) *results.Artifact {
+	e, st, cfg := rep.engine, rep.stats, rep.engine.Config()
+	row := results.Result{
+		ID:        fmt.Sprintf("%s/%s/g%d", rep.runs[0].workload, e.PolicyName(), rep.runs[0].goroutines),
+		Workload:  rep.runs[0].workload,
 		Policy:    e.PolicyName(),
-		Seed:      seed,
+		Seed:      o.seed,
 		DRAMPages: cfg.DRAMPages,
 		NVMPages:  cfg.NVMPages,
 		Params: map[string]float64{
-			"goroutines": float64(goroutines),
+			"goroutines": float64(rep.runs[0].goroutines),
 			"shards":     float64(cfg.Shards),
 			"nodes":      float64(e.NumNodes()),
 		},
-		Values: mem.values(loadValues(rep, st, cfg)),
-	})
-	addNodeResults(a, e, nodes, seed)
-	return a.Write(w)
-}
-
-// loadValues assembles the artifact value map shared by the single- and
-// multi-tenant aggregate rows.
-func loadValues(rep *tiered.LoadReport, st tiered.Stats, cfg tiered.Config) map[string]float64 {
-	return map[string]float64{
-		"ops":                   float64(rep.Ops),
-		"ops_per_sec":           rep.OpsPerSec,
-		"p50_ns":                float64(rep.P50.Nanoseconds()),
-		"p95_ns":                float64(rep.P95.Nanoseconds()),
-		"p99_ns":                float64(rep.P99.Nanoseconds()),
-		"max_ns":                float64(rep.Max.Nanoseconds()),
+		Values: latencyValues(rep.agg),
+	}
+	kind := "serve"
+	if rep.multi {
+		kind = "serve-multitenant"
+		row.ID = fmt.Sprintf("aggregate/%s/t%d", e.PolicyName(), len(rep.runs))
+		row.Workload = "mix"
+		row.Params = map[string]float64{
+			"tenants": float64(len(rep.runs)),
+			"shards":  float64(cfg.Shards),
+			"nodes":   float64(e.NumNodes()),
+			"spill":   float64(e.SpillPool()),
+		}
+	}
+	maps.Copy(row.Values, map[string]float64{
 		"hits_dram":             float64(st.HitsDRAM()),
 		"hits_nvm":              float64(st.HitsNVM()),
 		"faults":                float64(st.Faults),
@@ -763,33 +669,47 @@ func loadValues(rep *tiered.LoadReport, st tiered.Stats, cfg tiered.Config) map[
 		"remote_demotions":      float64(st.RemoteDemotions),
 		"break_even_hit":        float64(tiered.BreakEvenHits(cfg.Spec)),
 		"break_even_hit_remote": float64(cfg.Topology.BreakEvenHitsRemote(cfg.Spec)),
-	}
-}
-
-func writeTenantArtifact(w io.Writer, e *tiered.Engine, runs []*tenantRun, rep *tiered.MultiLoadReport,
-	st tiered.Stats, nodes []tiered.NodeStats, mem memReport, scale float64, seed int64) error {
-	a := runner.NewArtifact("tierd", "serve-multitenant", scale, seed)
-	cfg := e.Config()
-	agg := rep.Aggregate
-	a.Add(runner.Result{
-		ID:        fmt.Sprintf("aggregate/%s/t%d", e.PolicyName(), len(runs)),
-		Workload:  "mix",
-		Policy:    e.PolicyName(),
-		Seed:      seed,
-		DRAMPages: cfg.DRAMPages,
-		NVMPages:  cfg.NVMPages,
-		Params: map[string]float64{
-			"tenants": float64(len(runs)),
-			"shards":  float64(cfg.Shards),
-			"nodes":   float64(e.NumNodes()),
-			"spill":   float64(e.SpillPool()),
-		},
-		Values: mem.values(loadValues(&agg, st, cfg)),
+		"allocs_per_op":         rep.allocsPerOp,
+		"alloc_bytes_per_op":    rep.bytesPerOp,
+		"gc_cycles":             float64(rep.gcCycles),
+		"gc_pause_total_ns":     float64(rep.gcPause.Nanoseconds()),
 	})
-	addNodeResults(a, e, nodes, seed)
-	for _, r := range runs {
+	a := results.NewArtifact("tierd", kind, o.scale, o.seed)
+	a.Add(row)
+	if e.NumNodes() > 1 {
+		for _, ns := range rep.nodes {
+			a.Add(results.Result{
+				ID:        fmt.Sprintf("node%d/%s", ns.ID, e.PolicyName()),
+				Workload:  "node",
+				Policy:    e.PolicyName(),
+				Seed:      o.seed,
+				DRAMPages: int(ns.DRAMPages),
+				NVMPages:  int(ns.NVMPages),
+				Params: map[string]float64{
+					"node":           float64(ns.ID),
+					"nodes":          float64(e.NumNodes()),
+					"remote_penalty": cfg.Topology.RemotePenalty,
+				},
+				Values: map[string]float64{
+					"ops":               float64(ns.Accesses),
+					"resident_dram":     float64(ns.ResidentDRAM),
+					"resident_nvm":      float64(ns.ResidentNVM),
+					"faults_local":      float64(ns.FaultsLocal),
+					"faults_remote":     float64(ns.FaultsRemote),
+					"promotions_local":  float64(ns.PromotionsLocal),
+					"promotions_remote": float64(ns.PromotionsRemote),
+					"demotions_local":   float64(ns.DemotionsLocal),
+					"demotions_remote":  float64(ns.DemotionsRemote),
+				},
+			})
+		}
+	}
+	if !rep.multi {
+		return a
+	}
+	for _, r := range rep.runs {
 		cur, _ := e.TenantStats(r.id)
-		a.Add(runner.Result{
+		trow := results.Result{
 			ID:        fmt.Sprintf("t%d-%s/%s/g%d", r.id, r.workload, e.PolicyName(), r.goroutines),
 			Workload:  r.workload,
 			Policy:    e.PolicyName(),
@@ -802,23 +722,38 @@ func writeTenantArtifact(w io.Writer, e *tiered.Engine, runs []*tenantRun, rep *
 				"dram_cap":   float64(cur.DRAMCap),
 				"goroutines": float64(r.goroutines),
 			},
-			Values: map[string]float64{
-				"ops":             float64(r.report.Ops),
-				"ops_per_sec":     r.report.OpsPerSec,
-				"p50_ns":          float64(r.report.P50.Nanoseconds()),
-				"p95_ns":          float64(r.report.P95.Nanoseconds()),
-				"p99_ns":          float64(r.report.P99.Nanoseconds()),
-				"max_ns":          float64(r.report.Max.Nanoseconds()),
-				"hits_dram":       float64(r.stats.HitsDRAM),
-				"hits_nvm":        float64(r.stats.HitsNVM),
-				"faults":          float64(r.stats.Faults),
-				"promotions":      float64(r.stats.Promotions),
-				"demotions":       float64(r.stats.Demotions),
-				"evictions":       float64(r.stats.Evictions),
-				"resident_dram":   float64(cur.ResidentDRAM),
-				"quota_occupancy": pct(cur.ResidentDRAM, cur.DRAMCap) / 100,
-			},
+			Values: latencyValues(r.report),
+		}
+		maps.Copy(trow.Values, map[string]float64{
+			"hits_dram":       float64(r.stats.HitsDRAM),
+			"hits_nvm":        float64(r.stats.HitsNVM),
+			"faults":          float64(r.stats.Faults),
+			"promotions":      float64(r.stats.Promotions),
+			"demotions":       float64(r.stats.Demotions),
+			"evictions":       float64(r.stats.Evictions),
+			"resident_dram":   float64(cur.ResidentDRAM),
+			"quota_occupancy": pct(cur.ResidentDRAM, cur.DRAMCap) / 100,
 		})
+		a.Add(trow)
 	}
-	return a.Write(w)
+	return a
+}
+
+// emit writes a run's outcome — the artifact with -json, the text
+// otherwise — to stdout or the -out file. The file is only created here,
+// after the run has succeeded, so a failed run never truncates a previous
+// artifact.
+func emit(o *options, stdout io.Writer, a *results.Artifact, text string) error {
+	out := []byte(text)
+	if o.jsonOut {
+		var err error
+		if out, err = a.Encode(); err != nil {
+			return err
+		}
+	}
+	if o.outPath == "" {
+		_, err := stdout.Write(out)
+		return err
+	}
+	return os.WriteFile(o.outPath, out, 0o666)
 }

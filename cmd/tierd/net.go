@@ -1,44 +1,19 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
-	"log"
-	"os"
-	"os/signal"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"hybridmem/internal/memspec"
+	"hybridmem/internal/loadgen"
 	"hybridmem/internal/persist"
-	"hybridmem/internal/runner"
+	"hybridmem/internal/results"
 	"hybridmem/internal/server"
 	"hybridmem/internal/tiered"
-	"hybridmem/internal/trace"
 )
-
-// netFlags carries the -serve / -connect mode options parsed in main.
-type netFlags struct {
-	serveAddr     string
-	connectAddr   string
-	connections   int
-	pipeline      int
-	openLoop      bool
-	rate          float64
-	auth          string
-	maxConns      int
-	idleTimeout   time.Duration
-	requireAuth   bool
-	persistDir    string
-	ckptInterval  time.Duration
-	ckptFullEvery int
-	warmupTopK    int
-	kpi           bool
-	admin         adminFlags
-}
 
 // persistReport is the serve run's recovery story: what the restore found
 // at startup and what the checkpointer left behind at shutdown.
@@ -56,62 +31,25 @@ type persistReport struct {
 	finalOK      bool
 }
 
-// runServe is tierd's server mode: build the engine (sized for the
+// serve is tierd's server mode: build the engine (sized for the
 // configured workloads, exactly as the in-process load modes size it),
-// expose it over RESP, and serve until SIGINT/SIGTERM. The shutdown
+// expose it over RESP, and serve until ctx is cancelled. The shutdown
 // path is the graceful drain: stop accepting, let in-flight pipelines
 // finish and flush, then stop the migration daemon — and the report
 // records whether the drain completed within its grace window.
-func runServe(nf netFlags, outPath, workloadName, tenantsSpec, policyName string,
-	scale float64, seed int64, shards int, numa numaFlags, jsonOut bool) {
-	var cfg tiered.Config
-	if tenantsSpec != "" {
-		shares, err := parseTenants(tenantsSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		totalPages := 0
-		for i, sh := range shares {
-			_, _, pages := genTenantTrace(sh.workload, scale, seed+int64(i))
-			totalPages += pages
-		}
-		dram, nvm := memspec.DefaultSizing().Partition(totalPages)
-		tenants := make([]tiered.TenantConfig, len(shares))
-		for i, sh := range shares {
-			tenants[i] = tiered.TenantConfig{
-				ID:        tiered.TenantID(i),
-				Name:      fmt.Sprintf("%d:%s", i, sh.workload),
-				DRAMQuota: dram * sh.percent / 100,
-			}
-		}
-		cfg = tiered.Config{
-			Policy:    tiered.Kind(policyName),
-			DRAMPages: dram,
-			NVMPages:  nvm,
-			Shards:    shards,
-			Topology:  numa.topology(dram, nvm),
-			Tenants:   tenants,
-		}
-	} else {
-		_, _, pages := genTenantTrace(workloadName, scale, seed)
-		dram, nvm := memspec.DefaultSizing().Partition(pages)
-		cfg = tiered.Config{
-			Policy:    tiered.Kind(policyName),
-			DRAMPages: dram,
-			NVMPages:  nvm,
-			Shards:    shards,
-			Topology:  numa.topology(dram, nvm),
-		}
+func serve(ctx context.Context, o *options, stdout, stderr io.Writer) error {
+	_, cfg, err := sizeEngine(o, false)
+	if err != nil {
+		return err
 	}
-
-	ring := nf.admin.ring()
+	ring := o.admin.ring()
 	cfg.Events = ring
-	if nf.persistDir != "" {
-		cfg.WarmupDRAMTopK = nf.warmupTopK
+	if o.persistDir != "" {
+		cfg.WarmupDRAMTopK = o.warmupTopK
 	}
 	engine, err := tiered.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// With -persist the engine is NOT started yet: the restore must land
@@ -122,40 +60,45 @@ func runServe(nf netFlags, outPath, workloadName, tenantsSpec, policyName string
 		loading atomic.Bool
 		rec     persistReport
 	)
-	if nf.persistDir != "" {
+	srvCfg := server.Config{
+		Addr:        o.serveAddr,
+		MaxConns:    o.maxConns,
+		IdleTimeout: o.idleTimeout,
+		RequireAuth: o.requireAuth,
+	}
+	if o.persistDir != "" {
 		ckpt, err = persist.NewCheckpointer(engine, persist.Config{
-			Dir:       nf.persistDir,
-			Interval:  nf.ckptInterval,
-			FullEvery: nf.ckptFullEvery,
+			Dir:       o.persistDir,
+			Interval:  o.ckptInterval,
+			FullEvery: o.ckptFullEvery,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rec.enabled = true
 		loading.Store(true)
-	} else if err := engine.Start(); err != nil {
-		log.Fatal(err)
-	}
-	srvCfg := server.Config{
-		Addr:        nf.serveAddr,
-		MaxConns:    nf.maxConns,
-		IdleTimeout: nf.idleTimeout,
-		RequireAuth: nf.requireAuth,
-	}
-	if ckpt != nil {
 		srvCfg.Loading = loading.Load
+	} else if err := engine.Start(); err != nil {
+		return err
 	}
+	// The error paths' stop; the drain below stops a started engine first
+	// and checks the result (Stop is idempotent).
+	defer engine.Stop()
 	srv, err := server.New(engine, srvCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := srv.Listen(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	adm := startAdmin(nf.admin, engine, srv, ring, ckpt, loading.Load, scale, seed)
-	fmt.Fprintf(os.Stderr, "tierd: serving %s on %s (policy %s, DRAM %d + NVM %d frames)\n",
-		modeLabel(tenantsSpec, workloadName), srv.Addr(), engine.PolicyName(),
-		cfg.DRAMPages, cfg.NVMPages)
+	defer srv.Shutdown(time.Second) // the error paths' shutdown; refused once the drain below has run
+	adm, err := startAdmin(o, engine, srv, ring, ckpt, loading.Load, stderr)
+	if err != nil {
+		return err
+	}
+	defer stopAdmin(adm, stderr)
+	fmt.Fprintf(stderr, "tierd: serving %s on %s (policy %s, DRAM %d + NVM %d frames)\n",
+		modeLabel(o), srv.Addr(), engine.PolicyName(), cfg.DRAMPages, cfg.NVMPages)
 
 	if ckpt != nil {
 		// Restore residency and pre-crash hotness from the last valid
@@ -165,54 +108,44 @@ func runServe(nf netFlags, outPath, workloadName, tenantsSpec, policyName string
 		// open the data plane.
 		t0 := time.Now()
 		chain, rs, err := ckpt.Restore()
+		if err == nil {
+			err = engine.Start()
+		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rec.restoreMS = float64(time.Since(t0).Microseconds()) / 1000
 		rec.restore = rs
 		rec.coldStart = chain == nil
-		if chain != nil {
-			rec.baseRecords = len(chain.Base.Records)
-			rec.chainDeltas = chain.Deltas
-			rec.chainRecords = len(chain.Records)
-		}
-		if err := engine.Start(); err != nil {
-			log.Fatal(err)
-		}
 		ckpt.Start()
 		loading.Store(false)
 		if chain == nil {
-			fmt.Fprintf(os.Stderr, "tierd: persist %s: no checkpoint, cold start\n", ckpt.Path())
+			fmt.Fprintf(stderr, "tierd: persist %s: no checkpoint, cold start\n", ckpt.Path())
 		} else {
-			fmt.Fprintf(os.Stderr, "tierd: persist %s: restored %d pages (%d direct to DRAM, %d warm queued, %d skipped) from seq %d (base %d records + %d deltas) in %.1fms\n",
+			rec.baseRecords = len(chain.Base.Records)
+			rec.chainDeltas = chain.Deltas
+			rec.chainRecords = len(chain.Records)
+			fmt.Fprintf(stderr, "tierd: persist %s: restored %d pages (%d direct to DRAM, %d warm queued, %d skipped) from seq %d (base %d records + %d deltas) in %.1fms\n",
 				ckpt.Path(), rs.Restored, rs.WarmDirect, rs.WarmQueued, rs.Skipped+rs.Duplicates+rs.CapacityDrops,
 				chain.Seq, rec.baseRecords, chain.Deltas, rec.restoreMS)
 		}
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Fprintln(os.Stderr, "tierd: draining (send the signal again to force exit)")
-	// A second SIGINT/SIGTERM during the drain forces an immediate exit,
-	// skipping the final checkpoint — the escape hatch when a drain hangs.
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "tierd: second signal, forcing exit")
-		os.Exit(130)
-	}()
+	<-ctx.Done()
+	fmt.Fprintln(stderr, "tierd: draining (send the signal again to force exit)")
 
 	// Drain order: RESP first (in-flight pipelines finish), then the
 	// daemon, then — with -persist — the final checkpoint over the settled
-	// residency, then the admin plane, which stays scrapable through the
-	// drain so an orchestrator watching /readyz sees the lifecycle.
+	// residency, then (deferred) the admin plane, which stays scrapable
+	// through the drain so an orchestrator watching /readyz sees the
+	// lifecycle.
 	drainErr := srv.Shutdown(5 * time.Second)
 	if err := engine.Stop(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if ckpt != nil {
 		if err := ckpt.Stop(true); err != nil {
-			fmt.Fprintf(os.Stderr, "tierd: final checkpoint: %v\n", err)
+			fmt.Fprintf(stderr, "tierd: final checkpoint: %v\n", err)
 		} else {
 			rec.finalOK = true
 		}
@@ -220,46 +153,36 @@ func runServe(nf netFlags, outPath, workloadName, tenantsSpec, policyName string
 	}
 	invErr := engine.CheckInvariants()
 	if invErr != nil {
-		fmt.Fprintf(os.Stderr, "tierd: invariants: %v\n", invErr)
+		fmt.Fprintf(stderr, "tierd: invariants: %v\n", invErr)
 	}
-	stopAdmin(adm)
-	st := srv.Stats()
-	es := engine.Stats()
-
-	writeOut(outPath, func(w io.Writer) error {
-		if jsonOut {
-			return writeServeArtifact(w, engine, st, es, drainErr == nil, invErr == nil, rec, scale, seed)
-		}
-		return writeServeText(w, engine, st, es, drainErr, rec)
-	})
-	if drainErr != nil {
-		log.Fatal(drainErr)
-	}
+	st, es := srv.Stats(), engine.Stats()
+	err = emit(o, stdout, serveArtifact(o, engine, st, es, drainErr == nil, invErr == nil, rec),
+		serveText(st, es, drainErr, rec))
+	return errors.Join(err, drainErr)
 }
 
 // modeLabel names what the server fronts for the startup banner.
-func modeLabel(tenantsSpec, workloadName string) string {
-	if tenantsSpec != "" {
-		return "tenants " + tenantsSpec
+func modeLabel(o *options) string {
+	if o.tenants != "" {
+		return "tenants " + o.tenants
 	}
-	return "workload " + workloadName
+	return "workload " + o.workload
 }
 
-func writeServeText(w io.Writer, e *tiered.Engine, st server.Stats, es tiered.Stats,
-	drainErr error, rec persistReport) error {
+func serveText(st server.Stats, es tiered.Stats, drainErr error, rec persistReport) string {
 	drain := "clean"
 	if drainErr != nil {
 		drain = drainErr.Error()
 	}
-	_, err := fmt.Fprintf(w, `tierd: served %d commands (%d pipelined) over %d connections (%d evicted, %d reaped); drain %s
+	text := fmt.Sprintf(`tierd: served %d commands (%d pipelined) over %d connections (%d evicted, %d reaped); drain %s
 placement:  %.1f%% DRAM hits, %.1f%% NVM hits, %d faults
 migration:  %d promotions, %d demotions, %d evictions
 `,
 		st.Commands, st.Pipelined, st.Accepted, st.Evicted, st.Reaped, drain,
 		pct(es.HitsDRAM(), es.Accesses), pct(es.HitsNVM(), es.Accesses), es.Faults,
 		es.Promotions, es.Demotions, es.Evictions)
-	if err != nil || !rec.enabled {
-		return err
+	if !rec.enabled {
+		return text
 	}
 	start := fmt.Sprintf("restored %d pages (%d warm) in %.1fms", rec.restore.Restored,
 		rec.restore.WarmQueued, rec.restoreMS)
@@ -270,14 +193,13 @@ migration:  %d promotions, %d demotions, %d evictions
 	if !rec.finalOK {
 		final = "final checkpoint FAILED"
 	}
-	_, err = fmt.Fprintf(w, "persist:    %s; %d checkpoints written (%d failed, seq %d); %s\n",
+	return text + fmt.Sprintf("persist:    %s; %d checkpoints written (%d failed, seq %d); %s\n",
 		start, rec.ckpt.Written, rec.ckpt.Failures, rec.ckpt.Seq, final)
-	return err
 }
 
-func writeServeArtifact(w io.Writer, e *tiered.Engine, st server.Stats, es tiered.Stats,
-	clean, invClean bool, rec persistReport, scale float64, seed int64) error {
-	a := runner.NewArtifact("tierd", "net-serve", scale, seed)
+func serveArtifact(o *options, e *tiered.Engine, st server.Stats, es tiered.Stats,
+	clean, invClean bool, rec persistReport) *results.Artifact {
+	a := results.NewArtifact("tierd", "net-serve", o.scale, o.seed)
 	cfg := e.Config()
 	b2f := func(b bool) float64 {
 		if b {
@@ -326,11 +248,11 @@ func writeServeArtifact(w io.Writer, e *tiered.Engine, st server.Stats, es tiere
 		values["checkpoint_last_delta_bytes"] = float64(rec.ckpt.LastDeltaBytes)
 		values["final_checkpoint"] = b2f(rec.finalOK)
 	}
-	a.Add(runner.Result{
+	a.Add(results.Result{
 		ID:        fmt.Sprintf("serve/%s", e.PolicyName()),
 		Workload:  "net",
 		Policy:    e.PolicyName(),
-		Seed:      seed,
+		Seed:      o.seed,
 		DRAMPages: cfg.DRAMPages,
 		NVMPages:  cfg.NVMPages,
 		Params: map[string]float64{
@@ -339,18 +261,7 @@ func writeServeArtifact(w io.Writer, e *tiered.Engine, st server.Stats, es tiere
 		},
 		Values: values,
 	})
-	return a.Write(w)
-}
-
-// clientReport is the benchmark client's outcome: batch round-trip
-// latency quantiles over the replayed trace, plus the server's own
-// counters fetched over STATS after the run.
-type clientReport struct {
-	ops         int64
-	elapsed     time.Duration
-	hist        tiered.Hist
-	serverStats map[string]int64
-	kpi         kpiReport
+	return a
 }
 
 // kpiReport is the recovery KPI: how long the server took to reach 90%
@@ -365,7 +276,6 @@ type clientReport struct {
 // warm-up starts near steady state — the delta between the two restart
 // modes.
 type kpiReport struct {
-	enabled    bool
 	t90        time.Duration
 	steady     float64
 	dramT90    time.Duration
@@ -379,23 +289,21 @@ type kpiReport struct {
 // fail (the server may still answer -LOADING early on) or precede the
 // first access are skipped; time runs from the sampler's start, so the
 // restore window itself counts against t90.
-func sampleKPI(nf netFlags, stop <-chan struct{}, done chan<- kpiReport) {
+func sampleKPI(o *options, stop <-chan struct{}) (rep kpiReport) {
 	type sample struct {
 		at   time.Duration
 		rate float64
 		dram float64
 	}
-	rep := kpiReport{enabled: true}
 	start := time.Now()
 	var samples []sample
-	c, err := server.DialRetry(nf.connectAddr, 10*time.Second)
+	c, err := server.DialRetry(o.connectAddr, 10*time.Second)
 	if err != nil {
-		done <- rep
-		return
+		return rep
 	}
 	defer c.Close()
-	if nf.auth != "" {
-		c.Auth(nf.auth)
+	if o.auth != "" {
+		c.Auth(o.auth)
 	}
 	// t90 of one rate series: the first sample at >= 90% of the final.
 	t90 := func(final float64, rate func(sample) float64) time.Duration {
@@ -421,8 +329,7 @@ func sampleKPI(nf netFlags, stop <-chan struct{}, done chan<- kpiReport) {
 				rep.t90 = t90(rep.steady, func(s sample) float64 { return s.rate })
 				rep.dramT90 = t90(rep.dramSteady, func(s sample) float64 { return s.dram })
 			}
-			done <- rep
-			return
+			return rep
 		case <-t.C:
 			st, err := c.Stats()
 			if err != nil {
@@ -439,237 +346,117 @@ func sampleKPI(nf netFlags, stop <-chan struct{}, done chan<- kpiReport) {
 	}
 }
 
-// runConnect is tierd's benchmark-client mode: replay a workload trace
+// connect is tierd's benchmark-client mode: replay a workload trace
 // against a live tierd -serve over RESP from N connections, pipelined
-// at the configured depth. Closed-loop sends the next batch when the
+// at the configured depth — the same loadgen loop the in-process modes
+// run, over its RESP target. Closed-loop sends the next batch when the
 // previous one is answered (throughput-bound); open-loop paces batches
 // on a fixed schedule derived from -rate and measures latency from the
 // scheduled send time, so server-side queueing shows up in the
-// percentiles instead of being absorbed by a slowed sender.
-func runConnect(nf netFlags, outPath, workloadName string, scale float64, seed int64,
-	duration time.Duration, ops int64, jsonOut bool) {
-	if nf.connections < 1 {
-		log.Fatalf("-connections must be positive, got %d", nf.connections)
+// percentiles instead of being absorbed by a slowed sender. Latency is
+// per pipelined batch: at depth 1 per-op round-trip time, above it the
+// time the whole batch spent outstanding, the number a capacity plan
+// actually needs.
+func connect(o *options, stdout io.Writer) error {
+	tr := &tenantRun{workload: o.workload, seed: o.seed}
+	if _, err := tr.generate(o.scale, true); err != nil {
+		return err
 	}
-	if nf.pipeline < 1 {
-		log.Fatalf("-pipeline must be positive, got %d", nf.pipeline)
-	}
-	if nf.openLoop && nf.rate <= 0 {
-		log.Fatal("-client-mode open needs -rate (target ops/s)")
-	}
-	warm, roi, _ := genTenantTrace(workloadName, scale, seed)
-	recs := append(warm, roi...)
-
-	deadline := time.Now().Add(duration)
-	perConnOps := int64(0)
-	if ops > 0 {
-		perConnOps = (ops + int64(nf.connections) - 1) / int64(nf.connections)
+	cfg := loadgen.Config{Ops: o.ops, Duration: o.duration, Unit: o.pipeline}
+	if o.openLoop {
+		cfg.Rate = o.rate
 	}
 
-	var (
-		kpiStop chan struct{}
-		kpiDone chan kpiReport
-	)
-	if nf.kpi {
-		kpiStop = make(chan struct{})
-		kpiDone = make(chan kpiReport, 1)
-		go sampleKPI(nf, kpiStop, kpiDone)
-	}
-
-	var wg sync.WaitGroup
-	hists := make([]tiered.Hist, nf.connections)
-	counts := make([]int64, nf.connections)
-	errs := make([]error, nf.connections)
-	start := time.Now()
-	for i := 0; i < nf.connections; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = driveConn(nf, recs, i, perConnOps, deadline, &hists[i], &counts[i])
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
 	var kpi kpiReport
-	if nf.kpi {
-		close(kpiStop)
-		kpi = <-kpiDone
+	stopKPI := func() {}
+	if o.kpi {
+		stop, done := make(chan struct{}), make(chan kpiReport, 1)
+		go func() { done <- sampleKPI(o, stop) }()
+		stopKPI = func() { close(stop); kpi = <-done }
 	}
-	for _, err := range errs {
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	rep := clientReport{elapsed: elapsed, kpi: kpi}
-	for i := range hists {
-		rep.hist.Add(&hists[i])
-		rep.ops += counts[i]
-	}
-	if rep.ops == 0 {
-		log.Fatal("no operations completed")
-	}
-
-	// One extra connection fetches the server's counters for the report.
-	if c, err := server.Dial(nf.connectAddr, 2*time.Second); err == nil {
-		if nf.auth != "" {
-			c.Auth(nf.auth)
-		}
-		rep.serverStats, _ = c.Stats()
-		c.Close()
-	}
-
-	writeOut(outPath, func(w io.Writer) error {
-		if jsonOut {
-			return writeClientArtifact(w, nf, rep, workloadName, scale, seed)
-		}
-		return writeClientText(w, nf, rep, workloadName)
-	})
-}
-
-// driveConn runs one connection's share of the load. Latency is
-// recorded per pipelined batch: for depth 1 that is per-op round-trip
-// time; for deeper pipelines it is the time the whole batch spent
-// outstanding, the number a capacity plan actually needs.
-func driveConn(nf netFlags, recs []trace.Record, id int, opBudget int64,
-	deadline time.Time, hist *tiered.Hist, count *int64) error {
-	c, err := server.DialRetry(nf.connectAddr, 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("connection %d: %v", id, err)
-	}
-	defer c.Close()
-	if nf.auth != "" {
-		if err := c.Auth(nf.auth); err != nil {
-			return fmt.Errorf("connection %d: AUTH: %v", id, err)
-		}
-	}
-	// Ride out the server's restore window: a just-restarted tierd with
-	// -persist accepts connections immediately but answers data commands
-	// with -LOADING until the checkpoint is restored.
-	for probeDeadline := time.Now().Add(30 * time.Second); ; {
-		if _, err := c.Do("GET", "0"); err == nil {
-			break
-		} else if !strings.Contains(err.Error(), "LOADING") || time.Now().After(probeDeadline) {
-			return fmt.Errorf("connection %d: %v", id, err)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	// Stripe the trace so connections do not replay identical sequences.
-	pos := (len(recs) / (id + 1)) % len(recs)
-	var interval time.Duration
-	next := time.Now()
-	if nf.openLoop {
-		interval = time.Duration(float64(nf.pipeline) * float64(time.Second) / (nf.rate / float64(nf.connections)))
-	}
-	for (opBudget == 0 || *count < opBudget) && time.Now().Before(deadline) {
-		if nf.openLoop {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		batchStart := time.Now()
-		if nf.openLoop {
-			// Open loop measures from the scheduled send, not the actual
-			// one: a late batch carries its lateness into the latency.
-			batchStart = next
-			next = next.Add(interval)
-		}
-		for i := 0; i < nf.pipeline; i++ {
-			r := recs[pos]
-			pos++
-			if pos == len(recs) {
-				pos = 0
-			}
-			if r.Op == trace.OpWrite {
-				c.EnqueueSet(r.Addr)
-			} else {
-				c.EnqueueGet(r.Addr)
-			}
-		}
-		if err := c.Flush(); err != nil {
-			return fmt.Errorf("connection %d: %v", id, err)
-		}
-		for i := 0; i < nf.pipeline; i++ {
-			if _, err := c.ReadReply(); err != nil {
-				return fmt.Errorf("connection %d: %v", id, err)
-			}
-		}
-		hist.Record(time.Since(batchStart))
-		*count += int64(nf.pipeline)
-	}
-	return nil
-}
-
-func writeClientText(w io.Writer, nf netFlags, rep clientReport, workloadName string) error {
-	mode := "closed"
-	if nf.openLoop {
-		mode = fmt.Sprintf("open @ %.0f ops/s", nf.rate)
-	}
-	_, err := fmt.Fprintf(w, `tierd: %s over RESP to %s, %d connections x pipeline %d, %s loop
-throughput: %12.0f ops/s (%d ops in %v)
-batch rtt:  p50 %v, p95 %v, p99 %v, max %v
-`,
-		workloadName, nf.connectAddr, nf.connections, nf.pipeline, mode,
-		float64(rep.ops)/rep.elapsed.Seconds(), rep.ops, rep.elapsed.Round(time.Millisecond),
-		rep.hist.Quantile(0.50), rep.hist.Quantile(0.95), rep.hist.Quantile(0.99), rep.hist.Max())
+	res, err := loadgen.Run([]loadgen.Load{{
+		Recs:    append(tr.warm, tr.roi...),
+		Workers: o.connections,
+		Open:    loadgen.RESP(o.connectAddr, o.auth),
+	}}, cfg)
+	stopKPI()
 	if err != nil {
 		return err
 	}
-	if rep.serverStats != nil {
-		_, err = fmt.Fprintf(w, "server:     %d accesses, %d DRAM hits, %d NVM hits, %d faults, %d commands\n",
-			rep.serverStats["accesses"], rep.serverStats["hits_dram"],
-			rep.serverStats["hits_nvm"], rep.serverStats["faults"], rep.serverStats["commands"])
-		if err != nil {
-			return err
+	rep := res.Aggregate
+	if rep.Ops == 0 {
+		return errors.New("no operations completed")
+	}
+
+	// One extra connection fetches the server's counters for the report.
+	var serverStats map[string]int64
+	if c, err := server.Dial(o.connectAddr, 2*time.Second); err == nil {
+		if o.auth != "" {
+			c.Auth(o.auth)
 		}
+		serverStats, _ = c.Stats()
+		c.Close()
 	}
-	if rep.kpi.enabled {
-		_, err = fmt.Fprintf(w, "kpi:        t90 %v to reach 90%% of steady-state hit rate %.3f (DRAM-tier t90 %v of %.3f; %d samples)\n",
-			rep.kpi.t90.Round(time.Millisecond), rep.kpi.steady,
-			rep.kpi.dramT90.Round(time.Millisecond), rep.kpi.dramSteady, rep.kpi.samples)
-	}
-	return err
+
+	return emit(o, stdout, clientArtifact(o, rep, serverStats, kpi), clientText(o, rep, serverStats, kpi))
 }
 
-func writeClientArtifact(w io.Writer, nf netFlags, rep clientReport,
-	workloadName string, scale float64, seed int64) error {
-	a := runner.NewArtifact("tierd", "net-client", scale, seed)
+func clientText(o *options, rep loadgen.Report, serverStats map[string]int64, kpi kpiReport) string {
+	mode := "closed"
+	if o.openLoop {
+		mode = fmt.Sprintf("open @ %.0f ops/s", o.rate)
+	}
+	text := fmt.Sprintf(`tierd: %s over RESP to %s, %d connections x pipeline %d, %s loop
+throughput: %12.0f ops/s (%d ops in %v)
+batch rtt:  p50 %v, p95 %v, p99 %v, max %v
+`,
+		o.workload, o.connectAddr, o.connections, o.pipeline, mode,
+		rep.OpsPerSec, rep.Ops, rep.Elapsed.Round(time.Millisecond),
+		rep.P50, rep.P95, rep.P99, rep.Max)
+	if serverStats != nil {
+		text += fmt.Sprintf("server:     %d accesses, %d DRAM hits, %d NVM hits, %d faults, %d commands\n",
+			serverStats["accesses"], serverStats["hits_dram"],
+			serverStats["hits_nvm"], serverStats["faults"], serverStats["commands"])
+	}
+	if o.kpi {
+		text += fmt.Sprintf("kpi:        t90 %v to reach 90%% of steady-state hit rate %.3f (DRAM-tier t90 %v of %.3f; %d samples)\n",
+			kpi.t90.Round(time.Millisecond), kpi.steady,
+			kpi.dramT90.Round(time.Millisecond), kpi.dramSteady, kpi.samples)
+	}
+	return text
+}
+
+func clientArtifact(o *options, rep loadgen.Report, serverStats map[string]int64, kpi kpiReport) *results.Artifact {
+	a := results.NewArtifact("tierd", "net-client", o.scale, o.seed)
 	mode := 0.0
-	if nf.openLoop {
+	if o.openLoop {
 		mode = 1
 	}
-	values := map[string]float64{
-		"ops":         float64(rep.ops),
-		"ops_per_sec": float64(rep.ops) / rep.elapsed.Seconds(),
-		"p50_ns":      float64(rep.hist.Quantile(0.50).Nanoseconds()),
-		"p95_ns":      float64(rep.hist.Quantile(0.95).Nanoseconds()),
-		"p99_ns":      float64(rep.hist.Quantile(0.99).Nanoseconds()),
-		"max_ns":      float64(rep.hist.Max().Nanoseconds()),
-	}
+	values := latencyValues(rep)
 	// The server's own view rides along so the smoke gate can assert the
 	// load actually hit the engine, not just the socket.
-	for k, v := range rep.serverStats {
+	for k, v := range serverStats {
 		values["server_"+k] = float64(v)
 	}
-	if rep.kpi.enabled {
-		values["kpi_t90_ms"] = float64(rep.kpi.t90.Microseconds()) / 1000
-		values["kpi_steady_hit_rate"] = rep.kpi.steady
-		values["kpi_dram_t90_ms"] = float64(rep.kpi.dramT90.Microseconds()) / 1000
-		values["kpi_dram_steady_hit_rate"] = rep.kpi.dramSteady
-		values["kpi_samples"] = float64(rep.kpi.samples)
+	if o.kpi {
+		values["kpi_t90_ms"] = float64(kpi.t90.Microseconds()) / 1000
+		values["kpi_steady_hit_rate"] = kpi.steady
+		values["kpi_dram_t90_ms"] = float64(kpi.dramT90.Microseconds()) / 1000
+		values["kpi_dram_steady_hit_rate"] = kpi.dramSteady
+		values["kpi_samples"] = float64(kpi.samples)
 	}
-	a.Add(runner.Result{
-		ID:       fmt.Sprintf("client/%s/c%dp%d", workloadName, nf.connections, nf.pipeline),
-		Workload: workloadName,
+	a.Add(results.Result{
+		ID:       fmt.Sprintf("client/%s/c%dp%d", o.workload, o.connections, o.pipeline),
+		Workload: o.workload,
 		Policy:   "net",
-		Seed:     seed,
+		Seed:     o.seed,
 		Params: map[string]float64{
-			"connections": float64(nf.connections),
-			"pipeline":    float64(nf.pipeline),
+			"connections": float64(o.connections),
+			"pipeline":    float64(o.pipeline),
 			"open_loop":   mode,
-			"rate":        nf.rate,
+			"rate":        o.rate,
 		},
 		Values: values,
 	})
-	return a.Write(w)
+	return a
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"hybridmem/internal/loadgen"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/tiered"
 	"hybridmem/internal/trace"
@@ -89,11 +90,11 @@ func main() {
 	}
 
 	// Drive both tenants concurrently, two closed-loop workers each.
-	loads := make([]tiered.TenantLoad, len(specs))
+	loads := make([]loadgen.Load, len(specs))
 	for i, s := range specs {
-		loads[i] = tiered.TenantLoad{Tenant: s.id, Recs: traces[i], Goroutines: 2}
+		loads[i] = loadgen.Load{Recs: traces[i], Workers: 2, Open: loadgen.Engine(engine, s.id)}
 	}
-	rep, err := tiered.RunTenantLoad(engine, loads, tiered.LoadConfig{Ops: 400000})
+	rep, err := loadgen.Run(loads, loadgen.Config{Ops: 400000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func main() {
 		rep.Aggregate.OpsPerSec, rep.Aggregate.Ops, rep.Aggregate.P50, rep.Aggregate.P99)
 	for i, s := range specs {
 		st, _ := engine.TenantStats(s.id)
-		tr := rep.Tenants[i].Report
+		tr := rep.Loads[i]
 		fmt.Printf("tenant %d (%s):\n", s.id, st.Name)
 		fmt.Printf("  served %d ops at %.0f ops/s, p50 %v p99 %v\n", tr.Ops, tr.OpsPerSec, tr.P50, tr.P99)
 		fmt.Printf("  %d DRAM hits, %d NVM hits, %d faults\n", st.HitsDRAM, st.HitsNVM, st.Faults)

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"time"
 
+	"hybridmem/internal/loadgen"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/tiered"
@@ -97,10 +98,13 @@ func main() {
 		tiered.BreakEvenHits(mspec), topo.RemotePenalty, topo.BreakEvenHitsRemote(mspec))
 
 	// Serve the trace from four closed-loop workers.
-	rep, err := tiered.RunLoad(engine, recs, tiered.LoadConfig{Goroutines: 4, Ops: 400000})
+	res, err := loadgen.Run([]loadgen.Load{{
+		Recs: recs, Workers: 4, Open: loadgen.Engine(engine, tiered.DefaultTenant),
+	}}, loadgen.Config{Ops: 400000})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := res.Aggregate
 	if err := engine.Stop(); err != nil {
 		log.Fatal(err)
 	}

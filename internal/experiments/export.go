@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"hybridmem/internal/results"
 	"hybridmem/internal/runner"
 )
 
@@ -13,15 +14,15 @@ import (
 
 // newArtifact builds an artifact header carrying the configuration's
 // provenance (scale, seed, adaptive variant).
-func newArtifact(tool, kind string, cfg Config) *runner.Artifact {
-	a := runner.NewArtifact(tool, kind, cfg.Scale, cfg.Seed)
+func newArtifact(tool, kind string, cfg Config) *results.Artifact {
+	a := results.NewArtifact(tool, kind, cfg.Scale, cfg.Seed)
 	a.Adaptive = cfg.Adaptive
 	return a
 }
 
 // gridResult flattens one (workload, policy) cell.
-func gridResult(run *WorkloadRun, id PolicyID, seed int64, idPrefix string) runner.Result {
-	return runner.Result{
+func gridResult(run *WorkloadRun, id PolicyID, seed int64, idPrefix string) results.Result {
+	return results.Result{
 		ID:        idPrefix + run.Workload.Name + "/" + string(id),
 		Workload:  run.Workload.Name,
 		Policy:    string(id),
@@ -35,7 +36,7 @@ func gridResult(run *WorkloadRun, id PolicyID, seed int64, idPrefix string) runn
 
 // GridArtifact exports the full evaluation grid — every workload under
 // every standard policy — as one artifact.
-func GridArtifact(tool string, cfg Config, runs []*WorkloadRun) *runner.Artifact {
+func GridArtifact(tool string, cfg Config, runs []*WorkloadRun) *results.Artifact {
 	a := newArtifact(tool, "grid", cfg)
 	for _, run := range runs {
 		for _, id := range StandardPolicies() {
@@ -47,10 +48,10 @@ func GridArtifact(tool string, cfg Config, runs []*WorkloadRun) *runner.Artifact
 
 // ThresholdArtifact exports a threshold sweep: one result per pair, with
 // the thresholds as params and the normalized headline ratios as values.
-func ThresholdArtifact(tool, name string, cfg Config, points []ThresholdPoint) *runner.Artifact {
+func ThresholdArtifact(tool, name string, cfg Config, points []ThresholdPoint) *results.Artifact {
 	a := newArtifact(tool, "threshold", cfg)
 	for _, p := range points {
-		a.Add(runner.Result{
+		a.Add(results.Result{
 			ID:       fmt.Sprintf("%s/thr%d-%d/proposed", name, p.ReadThreshold, p.WriteThreshold),
 			Workload: name,
 			Policy:   string(Proposed),
@@ -72,7 +73,7 @@ func ThresholdArtifact(tool, name string, cfg Config, points []ThresholdPoint) *
 }
 
 // DRAMArtifact exports a DRAM-share sweep.
-func DRAMArtifact(tool, name string, cfg Config, points []DRAMPoint) *runner.Artifact {
+func DRAMArtifact(tool, name string, cfg Config, points []DRAMPoint) *results.Artifact {
 	a := newArtifact(tool, "dram", cfg)
 	for _, p := range points {
 		for _, id := range StandardPolicies() {
@@ -91,7 +92,7 @@ func DRAMArtifact(tool, name string, cfg Config, points []DRAMPoint) *runner.Art
 }
 
 // PageFactorArtifact exports an access-granularity sweep.
-func PageFactorArtifact(tool, name string, cfg Config, points []PageFactorPoint) *runner.Artifact {
+func PageFactorArtifact(tool, name string, cfg Config, points []PageFactorPoint) *results.Artifact {
 	a := newArtifact(tool, "pagefactor", cfg)
 	for _, p := range points {
 		for _, id := range StandardPolicies() {
@@ -117,13 +118,13 @@ func PageFactorArtifact(tool, name string, cfg Config, points []PageFactorPoint)
 }
 
 // AdaptiveArtifact exports the fixed-vs-adaptive threshold ablation.
-func AdaptiveArtifact(tool, name string, cfg Config, cmp *AdaptiveComparison) *runner.Artifact {
+func AdaptiveArtifact(tool, name string, cfg Config, cmp *AdaptiveComparison) *results.Artifact {
 	a := newArtifact(tool, "adaptive", cfg)
-	a.Add(runner.Result{
+	a.Add(results.Result{
 		ID: name + "/fixed/proposed", Workload: name, Policy: string(Proposed),
 		Seed: cfg.Seed, Metrics: runner.MetricsFrom(cmp.Fixed),
 	})
-	a.Add(runner.Result{
+	a.Add(results.Result{
 		ID: name + "/adaptive/proposed", Workload: name, Policy: string(Proposed),
 		Seed: cfg.Seed, Metrics: runner.MetricsFrom(cmp.Adaptive),
 		Values: map[string]float64{
@@ -135,12 +136,12 @@ func AdaptiveArtifact(tool, name string, cfg Config, cmp *AdaptiveComparison) *r
 }
 
 // MixArtifact exports a consolidated-server mix run.
-func MixArtifact(tool string, cfg Config, run *MixedRun) *runner.Artifact {
+func MixArtifact(tool string, cfg Config, run *MixedRun) *results.Artifact {
 	a := newArtifact(tool, "mix", cfg)
 	// RunMixed pins the adaptive variant off regardless of cfg.
 	a.Adaptive = false
 	for _, id := range StandardPolicies() {
-		a.Add(runner.Result{
+		a.Add(results.Result{
 			ID:        run.Label() + "/" + string(id),
 			Workload:  run.Label(),
 			Policy:    string(id),
@@ -156,10 +157,10 @@ func MixArtifact(tool string, cfg Config, run *MixedRun) *runner.Artifact {
 
 // WearLevelArtifact exports Start-Gap ablation results (no model metrics —
 // the interesting outputs are the endurance scalars).
-func WearLevelArtifact(tool, name string, cfg Config, periods []int, results []*WearLevelResult) *runner.Artifact {
+func WearLevelArtifact(tool, name string, cfg Config, periods []int, levels []*WearLevelResult) *results.Artifact {
 	a := newArtifact(tool, "wearlevel", cfg)
-	for i, res := range results {
-		a.Add(runner.Result{
+	for i, res := range levels {
+		a.Add(results.Result{
 			ID:       fmt.Sprintf("%s/startgap%d", name, periods[i]),
 			Workload: name,
 			Seed:     cfg.Seed,
@@ -177,10 +178,10 @@ func WearLevelArtifact(tool, name string, cfg Config, periods []int, results []*
 }
 
 // SeedsArtifact exports a seed-sensitivity study.
-func SeedsArtifact(tool string, cfg Config, seeds []int64, study *SeedStudy) *runner.Artifact {
+func SeedsArtifact(tool string, cfg Config, seeds []int64, study *SeedStudy) *results.Artifact {
 	a := newArtifact(tool, "seeds", cfg)
 	add := func(metric string, m MetricSummary) {
-		a.Add(runner.Result{
+		a.Add(results.Result{
 			ID:     "seeds/" + metric,
 			Seed:   cfg.Seed,
 			Params: map[string]float64{"seeds": float64(len(seeds))},

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"hybridmem/internal/runner"
+	"hybridmem/internal/results"
 )
 
 func adminGet(t *testing.T, url string) (int, string) {
@@ -95,7 +95,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/events artifact = %d", code)
 	}
-	art, err := runner.ReadArtifact(strings.NewReader(body))
+	art, err := results.ReadArtifact(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("artifact: %v", err)
 	}

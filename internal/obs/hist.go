@@ -1,21 +1,22 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
 
-// histBuckets mirrors tiered.Hist: bucket i counts observations whose
-// bit length is i, i.e. values in [2^(i-1), 2^i). 64-bit values need 65
-// buckets (bit lengths 0..64).
+// histBuckets: bucket i counts observations whose bit length is i, i.e.
+// values in [2^(i-1), 2^i). 64-bit values need 65 buckets (bit lengths
+// 0..64).
 const histBuckets = 65
 
 // Histogram is a concurrent log-bucket histogram of non-negative int64
-// observations (typically nanoseconds). It is the atomic twin of
-// tiered.Hist — same bucketing by bits.Len64, same geometric-midpoint
-// quantiles — but every field is an atomic so Observe is lock-free and
-// allocation-free from any number of goroutines. obs cannot import
-// tiered (tiered imports obs), hence the reimplementation.
+// observations (typically nanoseconds), the repo's one latency histogram:
+// server series observe into it from every connection, and each
+// load-generator worker owns a private one that is merged after the run.
+// Every field is an atomic, so Observe is lock-free and allocation-free
+// from any number of goroutines.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -52,21 +53,47 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Max returns the largest observed value.
 func (h *Histogram) Max() int64 { return h.max.Load() }
 
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) as the
-// geometric middle of the bucket containing it, matching tiered.Hist.
+// Merge adds o's observations into h. Each field is read and added
+// atomically, but not the set of them: merge a histogram its writers have
+// finished with.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.buckets {
+		if n := o.buckets[i].Load(); n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	v := o.max.Load()
+	for {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Quantile estimates the q-quantile (0 <= q <= 1) by nearest rank: it is
+// the observation of rank ceil(q*n) among n, ranks clamped to [1, n], so
+// q = 0.5 over 100 observations is the 50th smallest. The estimate is the
+// geometric middle of the bucket holding that rank, within 2x of the true
+// value; 0 on an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
-	if target >= total {
-		target = total - 1
+	rank := uint64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > total {
+		rank = total
 	}
 	var seen uint64
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
-		if seen > target {
+		if seen >= rank {
 			if i == 0 {
 				return 0
 			}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"sync/atomic"
 
-	"hybridmem/internal/runner"
+	"hybridmem/internal/results"
 )
 
 // Tier identifies which memory tier a page occupied. TierNone marks
@@ -218,9 +218,9 @@ func (r *EventRing) Snapshot(max int) []Event {
 // Params the tier transition, Values the numeric attribution. This is
 // the trace format the future sim-calibration gate will consume.
 func WriteEventsArtifact(w io.Writer, events []Event, tool string, scale float64, seed int64) error {
-	art := runner.NewArtifact(tool, "events", scale, seed)
+	art := results.NewArtifact(tool, "events", scale, seed)
 	for _, ev := range events {
-		res := runner.Result{
+		res := results.Result{
 			ID:       fmt.Sprintf("event%08d/%s", ev.Seq, ev.Reason),
 			Workload: "trace",
 			Policy:   ev.Reason.String(),

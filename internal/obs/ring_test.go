@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"hybridmem/internal/runner"
+	"hybridmem/internal/results"
 )
 
 func TestEventRingRoundTrip(t *testing.T) {
@@ -128,7 +128,7 @@ func TestWriteEventsArtifact(t *testing.T) {
 	if err := WriteEventsArtifact(&buf, r.Snapshot(0), "obstest", 0.5, 7); err != nil {
 		t.Fatal(err)
 	}
-	art, err := runner.ReadArtifact(&buf)
+	art, err := results.ReadArtifact(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

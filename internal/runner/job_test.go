@@ -9,6 +9,7 @@ import (
 
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/policy"
+	"hybridmem/internal/results"
 	"hybridmem/internal/sim"
 )
 
@@ -107,9 +108,9 @@ func TestRunJobsDeterministicAcrossWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := NewArtifact("test", "grid", 1, 1)
+		a := results.NewArtifact("test", "grid", 1, 1)
 		for _, r := range rs {
-			a.Add(Result{ID: r.ID, Seed: r.Seed, Metrics: MetricsFrom(r.Report)})
+			a.Add(results.Result{ID: r.ID, Seed: r.Seed, Metrics: MetricsFrom(r.Report)})
 		}
 		b, err := a.Encode()
 		if err != nil {

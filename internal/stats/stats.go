@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit used across the
 // simulator: arithmetic and geometric means (the paper reports both as
-// "A-Mean" and "G-Mean" columns), streaming summaries, and histograms for
-// workload characterization.
+// "A-Mean" and "G-Mean" columns) and streaming summaries.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by aggregate functions invoked on empty inputs.
@@ -114,67 +112,3 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the population standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy. It does not modify xs.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile outside [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1], nil
-}
-
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-// Out-of-range observations land in saturating end buckets.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Count returns the number of observations in bucket i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the share of observations in bucket i (0 if empty).
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}

@@ -106,54 +106,3 @@ func TestSummaryMatchesBatchProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 10}, {20, 10}, {50, 30}, {100, 50},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil || got != tc.want {
-			t.Errorf("Percentile(%v) = %v, %v; want %v", tc.p, got, err, tc.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Error("Percentile(nil) should return ErrEmpty")
-	}
-	if _, err := Percentile(xs, 150); err == nil {
-		t.Error("Percentile(150) should error")
-	}
-	// Input must not be reordered.
-	if xs[0] != 10 || xs[4] != 50 {
-		t.Error("Percentile modified its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	// -1, 0, 1.9 in bucket 0; 2 in bucket 1; 9.99, 10, 100 in bucket 4.
-	want := []int64{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Count(i) != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Count(i), w)
-		}
-	}
-	if !almostEqual(h.Fraction(0), 3.0/7) {
-		t.Errorf("Fraction(0) = %v, want 3/7", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
