@@ -10,7 +10,7 @@ GO ?= go
 # point of running under the race detector.
 FAST_PKGS = $$($(GO) list ./... | grep -v internal/experiments)
 
-.PHONY: all build vet test race fuzz-smoke fidelity bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
+.PHONY: all build vet test race fuzz-smoke fidelity offline-artifacts bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
 
 all: build test
 
@@ -43,6 +43,16 @@ fuzz-smoke:
 # file CI uploads next to the result artifacts.
 fidelity:
 	$(GO) test -count=1 -run '^TestFidelityAgainstSim$$' -v ./internal/tiered > fidelity.txt
+
+# The offline artifacts are deterministic: the same seed must give
+# byte-identical JSON at any parallelism. A serial and a parallel sweep are
+# compared as a pipeline-level gate, and the grid artifact is kept so CI can
+# publish it and result drift is diffable run over run.
+offline-artifacts:
+	$(GO) run ./cmd/hybridsim sweep -kind threshold -workload bodytrack -scale 0.005 -json -parallel 1 -out serial.json
+	$(GO) run ./cmd/hybridsim sweep -kind threshold -workload bodytrack -scale 0.005 -json -parallel 0 -out parallel.json
+	cmp serial.json parallel.json
+	$(GO) run ./cmd/hybridsim figures -json -scale 0.005 -parallel 0 -out grid.json
 
 # One-iteration benchmark smoke: catches benchmarks that no longer compile
 # or crash without paying for stable measurements. internal/tiered and
@@ -257,7 +267,8 @@ clean:
 		tierd-obs-metrics.txt tierd-obs-events.json tierd-obs-bin \
 		tierd-crash-serve1.json tierd-crash-serve2.json tierd-crash-serve3.json \
 		tierd-crash-cold.json tierd-crash-warm.json tierd-crash-warm2.json tierd-crash-bin \
-		BENCH_tiered.json bench_tiered.txt fidelity.txt
+		BENCH_tiered.json bench_tiered.txt fidelity.txt \
+		serial.json parallel.json grid.json
 	rm -rf tierd-crash-persist
 
 fmt:
@@ -268,4 +279,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check build vet test race fuzz-smoke fidelity bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke
+ci: fmt-check build vet test race fuzz-smoke fidelity offline-artifacts bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke

@@ -1,29 +1,20 @@
-// Benchmark harness: one benchmark per paper table and figure, regenerating
-// the artifact end to end (trace synthesis, warmup, all four policies, model
-// evaluation, figure assembly) per iteration, plus micro-benchmarks of every
-// substrate on the hot path and ablation benches for the design choices
-// DESIGN.md calls out.
+// Benchmark harness: micro-benchmarks of every policy and substrate on the
+// simulator's hot path, and ablation benches for the extension studies. The
+// paper's tables and figures are not here: bench/ (the paper_eval workload)
+// measures regenerating them end to end, from outside the module.
 //
-// Figure benches report their headline number through b.ReportMetric, so a
-// benchmark run doubles as a quick reproduction check:
-//
-//	go test -bench=Fig -benchmem
-//
-// The benchmarks run at a reduced trace scale (the experiments' shapes are
-// scale-stable; see DESIGN.md); cmd/figures regenerates everything at any
-// scale including 1.0.
+// The ablation benches run at a reduced trace scale (the experiments' shapes
+// are scale-stable); `hybridsim sweep` and `hybridsim figures` regenerate
+// everything at any scale including 1.0.
 package hybridmem
 
 import (
 	"testing"
 
-	"hybridmem/internal/cache"
 	"hybridmem/internal/clockdwf"
-	"hybridmem/internal/clockpro"
 	"hybridmem/internal/core"
 	"hybridmem/internal/dramcache"
 	"hybridmem/internal/experiments"
-	"hybridmem/internal/fullsys"
 	"hybridmem/internal/lru"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/policy"
@@ -32,105 +23,13 @@ import (
 	"hybridmem/internal/workload"
 )
 
-// benchCfg is the reduced-scale configuration the figure benches run at.
+// benchCfg is the reduced-scale configuration the ablation benches run at.
 func benchCfg() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = 0.002
 	cfg.MinPages = 128
 	return cfg
 }
-
-// benchRunAll regenerates the full evaluation once.
-func benchRunAll(b *testing.B) []*experiments.WorkloadRun {
-	b.Helper()
-	runs, err := experiments.RunAll(benchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return runs
-}
-
-// figureBench regenerates one figure per iteration and reports its G-Mean
-// (or for fig1, the mean static share) as the headline metric.
-func figureBench(b *testing.B, id string, group int) {
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		runs := benchRunAll(b)
-		f, err := experiments.BuildFigure(id, runs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if gi, ok := f.ColumnIndex("G-Mean"); ok {
-			headline = f.Total(group, gi)
-		} else {
-			// fig1: average static share across workloads.
-			sum := 0.0
-			static := f.Groups[0].Components[0].Values
-			for _, v := range static {
-				sum += v
-			}
-			headline = sum / float64(len(static))
-		}
-	}
-	b.ReportMetric(headline, "headline")
-}
-
-// BenchmarkTable2 regenerates the machine-configuration table.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table2(memspec.DefaultMachine())
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the workload characterization (all twelve
-// generators, warmup + ROI).
-func BenchmarkTable3(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3Measure(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 12 {
-			b.Fatal("missing workloads")
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates the memory-characteristics table.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table4(memspec.Default())
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig1 regenerates the DRAM-only power breakdown (Fig. 1).
-func BenchmarkFig1(b *testing.B) { figureBench(b, "fig1", 0) }
-
-// BenchmarkFig2a regenerates CLOCK-DWF power vs DRAM-only (Fig. 2a).
-func BenchmarkFig2a(b *testing.B) { figureBench(b, "fig2a", 0) }
-
-// BenchmarkFig2b regenerates CLOCK-DWF AMAT vs DRAM-only (Fig. 2b).
-func BenchmarkFig2b(b *testing.B) { figureBench(b, "fig2b", 0) }
-
-// BenchmarkFig2c regenerates CLOCK-DWF NVM writes vs NVM-only (Fig. 2c).
-func BenchmarkFig2c(b *testing.B) { figureBench(b, "fig2c", 0) }
-
-// BenchmarkFig4a regenerates the two-policy power comparison (Fig. 4a),
-// reporting the proposed scheme's G-Mean.
-func BenchmarkFig4a(b *testing.B) { figureBench(b, "fig4a", 1) }
-
-// BenchmarkFig4b regenerates the two-policy NVM-writes comparison (Fig. 4b).
-func BenchmarkFig4b(b *testing.B) { figureBench(b, "fig4b", 1) }
-
-// BenchmarkFig4c regenerates the proposed-vs-CLOCK-DWF AMAT figure (Fig. 4c).
-func BenchmarkFig4c(b *testing.B) { figureBench(b, "fig4c", 0) }
 
 // --- ablation benches (design choices) ---
 
@@ -162,27 +61,6 @@ func BenchmarkAblationPageFactor(b *testing.B) {
 	geoms := []memspec.Geometry{memspec.DefaultGeometry(), memspec.WordGeometry()}
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.PageFactorSweep("freqmine", cfg, geoms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFullSys regenerates the trace-methodology comparison.
-func BenchmarkAblationFullSys(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FullSysAblation("bodytrack", cfg, fullsys.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationReplacement regenerates the LRU/CLOCK/CLOCK-Pro hit-ratio
-// comparison.
-func BenchmarkAblationReplacement(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ReplacementComparison("ferret", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,22 +164,6 @@ func BenchmarkGenerator(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHierarchy measures the MOESI hierarchy's access path.
-func BenchmarkCacheHierarchy(b *testing.B) {
-	h, err := cache.NewHierarchy(memspec.DefaultMachine())
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := benchTrace(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%len(recs)]
-		if _, err := h.Access(int(r.CPU), r.Addr, r.Op == trace.OpWrite, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceCodec measures binary trace encode+decode throughput.
 func BenchmarkTraceCodec(b *testing.B) {
 	recs := benchTrace(10000)
@@ -350,18 +212,4 @@ func BenchmarkPolicyDRAMCache(b *testing.B) {
 		p, _ := dramcache.New(12, 117, dramcache.DefaultConfig())
 		return p
 	})
-}
-
-// BenchmarkClockPro measures the CLOCK-Pro replacement access path.
-func BenchmarkClockPro(b *testing.B) {
-	recs := benchTrace(100000)
-	c, err := clockpro.New(150)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%len(recs)]
-		c.Access(r.Page(4096))
-	}
 }

@@ -1,176 +1,183 @@
-// Command hybridsim runs one workload under one memory-management policy and
-// prints the complete evaluation: event counts, the Table I probabilities,
-// the AMAT breakdown (Eq. 1), the APPR breakdown (Eqs. 2-3), the NVM write
-// sources and the endurance estimate.
+// Command hybridsim is the offline half of the repository behind one
+// binary: the trace-driven simulator, the paper's tables and figures, the
+// sensitivity studies around them, and the trace tooling.
 //
-// Usage:
+//	hybridsim run          one workload under one policy, every model output
+//	hybridsim figures      the paper's tables and figures, the claims summary, the arch study
+//	hybridsim sweep        threshold / dram / pagefactor / adaptive / wearlevel / mix / seeds studies
+//	hybridsim characterize Table III from the generators, a reuse profile, or a stored trace
+//	hybridsim trace        write a synthetic PARSEC-like trace file
 //
-//	hybridsim -workload canneal [-policy proposed|adaptive|clock-dwf|dram-cache|dram-only|nvm-only]
-//	          [-scale 0.02] [-seed 1] [-read-threshold 96] [-write-threshold 128]
-//	          [-read-perc 0.1] [-write-perc 0.3] [-dram-frac 0.1] [-word-granularity]
+// Shared flags, after the subcommand name:
+//
+//	-scale F      trace scale (1.0 = full Table III sizes)          all subcommands
+//	-seed N       trace generation seed                             all subcommands
+//	-parallel N   worker-pool width (0 = all CPUs); output is       figures, sweep
+//	              byte-identical at any width
+//	-json         emit the hybridmem.results/v1 artifact, not text  figures, sweep
+//	-out FILE     write output to FILE instead of stdout            figures, sweep
+//
+// `hybridsim <subcommand> -h` lists the rest. Examples:
+//
+//	hybridsim run -workload canneal -policy clock-dwf
+//	hybridsim figures -id fig4a -csv
+//	hybridsim figures -json -out grid.json
+//	hybridsim sweep -kind threshold -workload raytrace
+//	hybridsim sweep -kind mix -workload bodytrack,ferret,canneal
+//	hybridsim characterize -reuse ferret
+//	hybridsim trace -workload ferret -o ferret.trc
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"hybridmem/internal/clockdwf"
-	"hybridmem/internal/core"
-	"hybridmem/internal/dramcache"
 	"hybridmem/internal/experiments"
-	"hybridmem/internal/memspec"
 	"hybridmem/internal/model"
-	"hybridmem/internal/policy"
-	"hybridmem/internal/sim"
-	"hybridmem/internal/trace"
+	"hybridmem/internal/runner"
 	"hybridmem/internal/workload"
 )
 
-func main() {
-	wl := flag.String("workload", "canneal", "Table III workload name")
-	pol := flag.String("policy", "proposed", "proposed, adaptive, clock-dwf, dram-cache, dram-only or nvm-only")
-	scale := flag.Float64("scale", 0.02, "trace scale")
-	seed := flag.Int64("seed", 1, "trace seed")
-	readThr := flag.Int("read-threshold", 0, "proposed: read threshold (0 = default)")
-	writeThr := flag.Int("write-threshold", 0, "proposed: write threshold (0 = default)")
-	readPerc := flag.Float64("read-perc", 0, "proposed: read window fraction (0 = default)")
-	writePerc := flag.Float64("write-perc", 0, "proposed: write window fraction (0 = default)")
-	dramFrac := flag.Float64("dram-frac", 0.10, "hybrid DRAM share of total memory")
-	word := flag.Bool("word-granularity", false, "account accesses as 4B words (PageFactor 1024)")
-	flag.Parse()
+// errBadFlags is returned after the flag package has already printed the
+// parse error and the usage text.
+var errBadFlags = errors.New("bad flags")
 
-	if err := run(*wl, *pol, *scale, *seed, *readThr, *writeThr, *readPerc, *writePerc, *dramFrac, *word); err != nil {
+func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errBadFlags):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "hybridsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, pol string, scale float64, seed int64, readThr, writeThr int,
-	readPerc, writePerc, dramFrac float64, word bool) error {
-	spec, ok := workload.ByName(wl)
-	if !ok {
-		return fmt.Errorf("unknown workload %q (have: %v)", wl, workload.Names())
-	}
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = scale
-	cfg.Seed = seed
-	cfg.Sizing.DRAMFractionOfMem = dramFrac
-	if word {
-		cfg.Spec.Geometry = memspec.WordGeometry()
-	}
-	if readThr > 0 {
-		cfg.Core.ReadThreshold = readThr
-	}
-	if writeThr > 0 {
-		cfg.Core.WriteThreshold = writeThr
-	}
-	if readPerc > 0 {
-		cfg.Core.ReadPerc = readPerc
-	}
-	if writePerc > 0 {
-		cfg.Core.WritePerc = writePerc
-	}
+// subcommand is one tool behind the binary. setup declares its flags on fs
+// and returns what to run once they are parsed.
+type subcommand struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func(stdout io.Writer) error
+}
 
-	gen, err := workload.NewGenerator(spec, scale, seed)
-	if err != nil {
-		return err
-	}
-	warm, err := trace.Materialize(gen.WarmupSource(seed+1), 0)
-	if err != nil {
-		return err
-	}
-	roi, err := trace.Materialize(gen, 0)
-	if err != nil {
-		return err
-	}
-	pages := gen.Pages()
-	total := cfg.Sizing.TotalPages(pages)
-	dram, nvm := cfg.Sizing.Partition(pages)
+var subcommands = []subcommand{
+	{"run", "one workload under one policy, every model output", setupRun},
+	{"figures", "the paper's tables and figures, the claims summary, the arch study", setupFigures},
+	{"sweep", "sensitivity studies around the paper's design choices", setupSweep},
+	{"characterize", "Table III from the generators, a reuse profile, or a stored trace", setupCharacterize},
+	{"trace", "write a synthetic PARSEC-like trace file", setupTrace},
+}
 
-	var p policy.Policy
-	switch pol {
-	case "proposed":
-		p, err = core.New(dram, nvm, cfg.Core)
-	case "adaptive":
-		p, err = core.NewAdaptive(dram, nvm, cfg.Core, cfg.AdaptiveCfg)
-	case "clock-dwf":
-		p, err = clockdwf.New(dram, nvm, cfg.DWF)
-	case "dram-cache":
-		p, err = dramcache.New(dram, nvm, dramcache.DefaultConfig())
-	case "dram-only":
-		p, err = policy.NewDRAMOnly(total)
-	case "nvm-only":
-		p, err = policy.NewNVMOnly(total)
-	default:
-		return fmt.Errorf("unknown policy %q", pol)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: hybridsim <subcommand> [flags]")
+	for _, c := range subcommands {
+		fmt.Fprintf(w, "  %-13s %s\n", c.name, c.summary)
 	}
-	if err != nil {
-		return err
+	fmt.Fprintln(w, "hybridsim <subcommand> -h lists a subcommand's flags")
+}
+
+// run is hybridsim behind its process boundary: pick the subcommand, parse
+// its flags, run it. Results go to stdout (or -out), usage to stderr; every
+// rejection is a returned error, so tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		usage(stderr)
+		return errBadFlags
 	}
-
-	if _, err := sim.Run(trace.NewSliceSource(warm), p, cfg.Spec, sim.Options{}); err != nil {
-		return fmt.Errorf("warmup: %w", err)
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		usage(stderr)
+		return flag.ErrHelp
 	}
-	res, err := sim.Run(trace.NewSliceSource(roi), p, cfg.Spec, sim.Options{})
-	if err != nil {
-		return err
-	}
-	rep, err := model.Evaluate(res, cfg.Spec)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("workload %s at scale %g: %d pages (%d KB footprint), %d accesses\n",
-		wl, scale, pages, pages*cfg.Spec.Geometry.PageSizeBytes/1024, res.Counts.Accesses)
-	fmt.Printf("memory: %d total frames", total)
-	if dram > 0 && nvm > 0 && pol != "dram-only" && pol != "nvm-only" {
-		fmt.Printf(" (DRAM %d + NVM %d)", dram, nvm)
-	}
-	fmt.Printf(", PageFactor %d\n\n", cfg.Spec.Geometry.PageFactor())
-
-	c := res.Counts
-	fmt.Printf("policy %s\n", p.Name())
-	fmt.Printf("  hits:        DRAM %d (R %d / W %d), NVM %d (R %d / W %d)\n",
-		c.HitsDRAM(), c.ReadsDRAM, c.WritesDRAM, c.HitsNVM(), c.ReadsNVM, c.WritesNVM)
-	fmt.Printf("  faults:      %d (to DRAM %d, to NVM %d)\n", c.Faults, c.FaultsToDRAM, c.FaultsToNVM)
-	fmt.Printf("  migrations:  %d promotions, %d demotions (%d fault-forced, %d promotion-forced)\n",
-		c.Promotions, c.Demotions, c.DemotionsFault, c.DemotionsPromo)
-	fmt.Printf("  evictions:   %d from DRAM, %d from NVM\n\n", c.EvictionsDRAM, c.EvictionsNVM)
-
-	pr := rep.Probabilities
-	fmt.Printf("Table I probabilities:\n")
-	fmt.Printf("  PHitDRAM %.4f  PHitNVM %.4f  PMiss %.6f\n", pr.PHitDRAM, pr.PHitNVM, pr.PMiss)
-	fmt.Printf("  PMigD %.6f  PMigN %.6f (stalling %.6f)\n\n", pr.PMigD, pr.PMigN, pr.PMigNStall)
-
-	a := rep.AMAT
-	fmt.Printf("AMAT (Eq. 1): %.1f ns/access\n", a.Total())
-	fmt.Printf("  hits %.1f (DRAM %.1f + NVM %.1f), disk %.1f, migrations %.1f\n\n",
-		a.HitDRAM+a.HitNVM, a.HitDRAM, a.HitNVM, a.Miss, a.Migrations())
-
-	e := rep.APPR
-	fmt.Printf("APPR (Eqs. 2-3): %.2f nJ/access\n", e.Total())
-	fmt.Printf("  static %.2f, dynamic %.2f, page-fault %.2f, migration %.2f\n\n",
-		e.Static, e.Dynamic(), e.PageFault(), e.Migration())
-
-	w := rep.NVMWrites
-	fmt.Printf("NVM writes (lines): %d total = %d requests + %d page-fault + %d migration\n",
-		w.Total(), w.Requests, w.PageFault, w.Migration)
-
-	if res.NVMPages > 0 && res.NVMWear.Total > 0 {
-		end, err := model.EvaluateEndurance(res, cfg.Spec)
-		if err == nil {
-			fmt.Printf("endurance: %.1f writes/s; lifetime %.1f years (ideal leveling), %.1f years (worst frame)\n",
-				end.LineWritesPerSec, end.LifetimeYearsLeveled, end.LifetimeYearsWorstFrame)
-			fmt.Printf("wear imbalance (max/mean frame): %.2f\n",
-				model.WearImbalance(res.NVMWear, res.NVMPages))
+	for _, c := range subcommands {
+		if c.name != args[0] {
+			continue
 		}
+		fs := flag.NewFlagSet("hybridsim "+c.name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		action := c.setup(fs)
+		if err := fs.Parse(args[1:]); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return err
+			}
+			return errBadFlags
+		}
+		if fs.NArg() > 0 {
+			return fmt.Errorf("%s: unexpected argument %q (every option is a -flag)", c.name, fs.Arg(0))
+		}
+		if err := action(stdout); err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		return nil
 	}
+	usage(stderr)
+	return fmt.Errorf("unknown subcommand %q", args[0])
+}
 
-	if a, ok := p.(*core.Adaptive); ok {
-		r, w := a.Thresholds()
-		fmt.Printf("adaptive controller: final thresholds %d/%d after %d adjustments\n",
-			r, w, a.Adjustments)
+// shared holds the flags that mean the same thing in every subcommand.
+type shared struct {
+	scale    float64
+	seed     int64
+	parallel int
+	jsonOut  bool
+	outPath  string
+}
+
+// traceFlags declares the flags that select a trace: every subcommand has
+// them.
+func traceFlags(fs *flag.FlagSet) *shared {
+	s := &shared{}
+	fs.Float64Var(&s.scale, "scale", 0.02, "trace scale (1.0 = full Table III sizes)")
+	fs.Int64Var(&s.seed, "seed", 1, "trace generation seed")
+	return s
+}
+
+// execFlags adds the execution flags of the subcommands that run grids.
+func execFlags(fs *flag.FlagSet) *shared {
+	s := traceFlags(fs)
+	fs.IntVar(&s.parallel, "parallel", 0, "worker-pool width (0 = all CPUs); output is identical at any width")
+	fs.BoolVar(&s.jsonOut, "json", false, "emit the machine-readable hybridmem.results/v1 artifact instead of text")
+	fs.StringVar(&s.outPath, "out", "", "write output to this file instead of stdout")
+	return s
+}
+
+// config is the experiment configuration the shared flags select.
+func (s *shared) config() experiments.Config {
+	cfg := experiments.DefaultConfig()
+	cfg.Scale = s.scale
+	cfg.Seed = s.seed
+	cfg.Parallel = s.parallel
+	// One cache per invocation: every stage of a subcommand replays the
+	// same materialized traces.
+	cfg.Cache = runner.NewTraceCache()
+	return cfg
+}
+
+// lookupWorkload resolves a Table III workload name.
+func lookupWorkload(name string) (workload.Spec, error) {
+	spec, ok := workload.ByName(name)
+	if !ok {
+		return spec, fmt.Errorf("unknown workload %q (have: %v)", name, workload.Names())
 	}
-	return nil
+	return spec, nil
+}
+
+// hitsAndMigrations is the "AMAT hits+mig" column of the comparison tables:
+// Eq. 1 without the disk term, which no placement policy changes much.
+func hitsAndMigrations(r *model.Report) string {
+	return fmt.Sprintf("%.1f", r.AMAT.HitDRAM+r.AMAT.HitNVM+r.AMAT.Migrations())
+}
+
+// comparisonCells are the four columns the arch and mix tables print per
+// policy: AMAT hits+mig, power, NVM writes, DRAM hit ratio.
+func comparisonCells(r *model.Report) []string {
+	return []string{
+		hitsAndMigrations(r),
+		fmt.Sprintf("%.2f", r.APPR.Total()),
+		fmt.Sprintf("%d", r.NVMWrites.Total()),
+		fmt.Sprintf("%.3f", r.Probabilities.PHitDRAM),
+	}
 }

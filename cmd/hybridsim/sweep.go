@@ -1,34 +1,9 @@
-// Command sweep runs the sensitivity studies around the paper's design
-// choices: migration thresholds (the Section V-B raytrace discussion),
-// the DRAM share of the hybrid memory, the access-granularity PageFactor
-// (Section II), the fixed-vs-adaptive threshold ablation (the paper's
-// stated future work), Start-Gap wear leveling, consolidated-server mixes
-// and seed sensitivity.
-//
-// Usage:
-//
-//	sweep -kind threshold  [-workload raytrace] [-scale 0.02]
-//	sweep -kind dram       [-workload ferret]
-//	sweep -kind pagefactor [-workload freqmine]
-//	sweep -kind adaptive   [-workload raytrace]
-//	sweep -kind wearlevel  [-workload vips]
-//	sweep -kind mix        [-workload bodytrack,ferret,canneal]
-//	sweep -kind seeds      [-seeds 5]
-//
-// Execution flags (all kinds):
-//
-//	-parallel N   worker-pool width (0 = all CPUs); results are identical
-//	              at any width
-//	-json         emit the stable machine-readable result artifact
-//	              (hybridmem.results/v1) instead of text tables
-//	-out FILE     write output to FILE instead of stdout
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"hybridmem/internal/experiments"
@@ -38,52 +13,41 @@ import (
 	"hybridmem/internal/runner"
 )
 
-func main() {
-	kind := flag.String("kind", "threshold", "threshold, dram, pagefactor, adaptive, wearlevel, seeds or mix (workload=a,b,...)")
-	wl := flag.String("workload", "raytrace", "Table III workload name")
-	scale := flag.Float64("scale", 0.02, "trace scale")
-	seed := flag.Int64("seed", 1, "trace seed")
-	parallel := flag.Int("parallel", 0, "worker-pool width (0 = all CPUs)")
-	jsonOut := flag.Bool("json", false, "emit the machine-readable result artifact instead of text")
-	outPath := flag.String("out", "", "write output to this file instead of stdout")
-	seedCount := flag.Int("seeds", 5, "number of derived seeds for -kind seeds")
-	flag.Parse()
+// setupSweep is `hybridsim sweep`: the sensitivity studies around the
+// paper's design choices — migration thresholds (the Section V-B raytrace
+// discussion), the DRAM share of the hybrid memory, the access-granularity
+// PageFactor (Section II), the fixed-vs-adaptive threshold ablation (the
+// paper's stated future work), Start-Gap wear leveling, consolidated-server
+// mixes (-workload a,b,...) and seed sensitivity (-seeds N).
+func setupSweep(fs *flag.FlagSet) func(io.Writer) error {
+	sh := execFlags(fs)
+	kind := fs.String("kind", "threshold", "threshold, dram, pagefactor, adaptive, wearlevel, seeds or mix (workload=a,b,...)")
+	wl := fs.String("workload", "raytrace", "Table III workload name")
+	seedCount := fs.Int("seeds", 5, "number of derived seeds for -kind seeds")
 
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.Seed = *seed
-	cfg.Parallel = *parallel
-	// One cache per invocation: every stage of a sweep replays the same
-	// materialized traces.
-	cfg.Cache = runner.NewTraceCache()
-
-	if err := run(*kind, *wl, cfg, *jsonOut, *outPath, *seedCount); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+	return func(stdout io.Writer) error {
+		cfg := sh.config()
+		return report.WithOutput(stdout, sh.outPath, func(w io.Writer) error {
+			switch *kind {
+			case "threshold":
+				return sweepThreshold(w, *wl, cfg, sh.jsonOut)
+			case "dram":
+				return sweepDRAM(w, *wl, cfg, sh.jsonOut)
+			case "pagefactor":
+				return sweepPageFactor(w, *wl, cfg, sh.jsonOut)
+			case "adaptive":
+				return sweepAdaptive(w, *wl, cfg, sh.jsonOut)
+			case "wearlevel":
+				return sweepWearLevel(w, *wl, cfg, sh.jsonOut)
+			case "mix":
+				return sweepMix(w, *wl, cfg, sh.jsonOut)
+			case "seeds":
+				return sweepSeeds(w, cfg, *seedCount, sh.jsonOut)
+			default:
+				return fmt.Errorf("unknown kind %q", *kind)
+			}
+		})
 	}
-}
-
-func run(kind, wl string, cfg experiments.Config, jsonOut bool, outPath string, seedCount int) error {
-	return report.WithOutput(outPath, func(w io.Writer) error {
-		switch kind {
-		case "threshold":
-			return sweepThreshold(w, wl, cfg, jsonOut)
-		case "dram":
-			return sweepDRAM(w, wl, cfg, jsonOut)
-		case "pagefactor":
-			return sweepPageFactor(w, wl, cfg, jsonOut)
-		case "adaptive":
-			return sweepAdaptive(w, wl, cfg, jsonOut)
-		case "wearlevel":
-			return sweepWearLevel(w, wl, cfg, jsonOut)
-		case "mix":
-			return sweepMix(w, wl, cfg, jsonOut)
-		case "seeds":
-			return sweepSeeds(w, cfg, seedCount, jsonOut)
-		default:
-			return fmt.Errorf("unknown kind %q", kind)
-		}
-	})
 }
 
 func sweepThreshold(w io.Writer, wl string, cfg experiments.Config, jsonOut bool) error {
@@ -183,7 +147,7 @@ func sweepAdaptive(w io.Writer, wl string, cfg experiments.Config, jsonOut bool)
 	} {
 		t.AddRow(v.name,
 			fmt.Sprintf("%.2f", v.rep.APPR.Total()),
-			fmt.Sprintf("%.1f", v.rep.AMAT.HitDRAM+v.rep.AMAT.HitNVM+v.rep.AMAT.Migrations()),
+			hitsAndMigrations(v.rep),
 			fmt.Sprintf("%d", v.rep.NVMWrites.Total()),
 			fmt.Sprintf("%.6f", v.rep.Probabilities.PMigD))
 	}
@@ -238,25 +202,18 @@ func sweepMix(w io.Writer, wl string, cfg experiments.Config, jsonOut bool) erro
 		Headers: []string{"policy", "AMAT hits+mig (ns)", "power (nJ)", "NVM writes", "DRAM hit ratio"},
 	}
 	for _, id := range experiments.StandardPolicies() {
-		r := run.Reports[id]
-		t.AddRow(string(id),
-			fmt.Sprintf("%.1f", r.AMAT.HitDRAM+r.AMAT.HitNVM+r.AMAT.Migrations()),
-			fmt.Sprintf("%.2f", r.APPR.Total()),
-			fmt.Sprintf("%d", r.NVMWrites.Total()),
-			fmt.Sprintf("%.3f", r.Probabilities.PHitDRAM))
+		t.AddRow(append([]string{string(id)}, comparisonCells(run.Reports[id])...)...)
 	}
 	return t.Write(w)
 }
 
 func sweepSeeds(w io.Writer, cfg experiments.Config, count int, jsonOut bool) error {
 	// Derive the study's seeds deterministically from the base seed, so
-	// one -seed value names the whole experiment.
-	if count < 0 {
-		count = 0
-	}
-	seeds := make([]int64, count)
-	for i := range seeds {
-		seeds[i] = runner.DeriveSeed(cfg.Seed, fmt.Sprintf("seed-study/%d", i))
+	// one -seed value names the whole experiment. (RunSeeds rejects a
+	// count below 2, negative ones included.)
+	var seeds []int64
+	for i := 0; i < count; i++ {
+		seeds = append(seeds, runner.DeriveSeed(cfg.Seed, fmt.Sprintf("seed-study/%d", i)))
 	}
 	study, err := experiments.RunSeeds(cfg, seeds)
 	if err != nil {

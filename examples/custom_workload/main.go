@@ -3,7 +3,7 @@
 // evaluate the proposed scheme on it — the full pipeline for workloads
 // beyond the built-in Table III set.
 //
-// The same JSON file works with `cmd/tracegen -specs`.
+// The same JSON file works with `hybridsim trace -specs`.
 package main
 
 import (

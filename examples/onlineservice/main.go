@@ -3,9 +3,9 @@
 // goroutines at once while the migration daemon runs in the background,
 // snapshots live statistics mid-traffic, and shuts down gracefully.
 //
-// This is the concurrent counterpart of examples/quickstart: the same
-// paper policy, but serving simultaneous callers instead of replaying a
-// trace single-threaded.
+// This is the concurrent counterpart of ExampleNewSystem (hybridmem_test.go):
+// the same paper policy, but serving simultaneous callers instead of
+// replaying a trace single-threaded.
 package main
 
 import (

@@ -29,7 +29,8 @@
 // served live.
 //
 // The full evaluation machinery (figure regeneration, sweeps, claims
-// extraction) lives in the cmd/ tools; see README.md.
+// extraction) is internal/experiments behind the cmd/hybridsim
+// subcommands; see README.md.
 //
 // Quick start:
 //
@@ -38,6 +39,8 @@
 //	sys.Warm(warm)
 //	res, _ := sys.Run(roi)
 //	fmt.Println(res.AMATNanos, res.PowerNanojoulesPerAccess)
+//
+// ExampleNewSystem is the same program with its output checked.
 package hybridmem
 
 import (

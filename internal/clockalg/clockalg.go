@@ -1,5 +1,5 @@
 // Package clockalg implements the CLOCK (second-chance) page ring used by the
-// CLOCK-DWF baseline (Lee, Bahn & Noh, IEEE TC 2013) and by CLOCK-Pro.
+// CLOCK-DWF baseline (Lee, Bahn & Noh, IEEE TC 2013).
 //
 // Pages sit on a circular list with per-page reference bits. A clock hand
 // sweeps the ring on eviction: referenced pages lose their bit and survive

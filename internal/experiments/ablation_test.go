@@ -1,59 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"hybridmem/internal/fullsys"
-)
-
-func TestFullSysAblation(t *testing.T) {
-	cfg := testConfig()
-	res, err := FullSysAblation("bodytrack", cfg, fullsys.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Direct == nil || res.Filtered == nil {
-		t.Fatal("missing reports")
-	}
-	if res.FilteredAccesses >= res.CPUAccesses {
-		t.Errorf("cache filtered nothing: %d of %d", res.FilteredAccesses, res.CPUAccesses)
-	}
-	if res.L1DHitRatio <= 0 || res.L1DHitRatio > 1 {
-		t.Errorf("L1D hit ratio %v out of range", res.L1DHitRatio)
-	}
-	if res.Filtered.Accesses != res.FilteredAccesses {
-		t.Errorf("filtered run accesses %d != trace length %d",
-			res.Filtered.Accesses, res.FilteredAccesses)
-	}
-}
-
-func TestReplacementComparison(t *testing.T) {
-	cfg := testConfig()
-	row, err := ReplacementComparison("ferret", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range map[string]float64{
-		"lru": row.LRU, "clock": row.Clock, "clockpro": row.ClockPro,
-	} {
-		if v <= 0 || v > 1 {
-			t.Errorf("%s hit ratio %v out of range", name, v)
-		}
-	}
-	// With memory at 75% of the footprint and a locality-heavy trace, all
-	// three algorithms should be in the same high band (the paper's "almost
-	// the same hit ratio" argument).
-	if row.LRU < 0.9 {
-		t.Errorf("LRU hit ratio %v unexpectedly low", row.LRU)
-	}
-	diff := row.LRU - row.Clock
-	if diff < -0.05 || diff > 0.05 {
-		t.Errorf("LRU and CLOCK diverge: %v vs %v", row.LRU, row.Clock)
-	}
-	if _, err := ReplacementComparison("swaptions", cfg); err == nil {
-		t.Error("unknown workload should error")
-	}
-}
+import "testing"
 
 func TestArchComparison(t *testing.T) {
 	cfg := testConfig()

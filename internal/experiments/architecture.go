@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"hybridmem/internal/dramcache"
 	"hybridmem/internal/model"
-	"hybridmem/internal/policy"
 	"hybridmem/internal/runner"
-	"hybridmem/internal/sim"
 	"hybridmem/internal/workload"
 )
 
@@ -29,32 +26,9 @@ type ArchRow struct {
 // policies plus the cache and static-partition architectures, six jobs
 // replaying one cached trace.
 func archJobs(name string, cfg Config, tr *runner.Traces) []runner.Job {
-	opts := sim.Options{CheckEvery: cfg.CheckEvery}
-	// Same silicon budget as the migration architecture: the DRAM frames
-	// become cache, the NVM frames are the sole main memory.
-	zoned := func(build func(dram, nvm int) (policy.Policy, error)) func() (policy.Policy, error) {
-		return func() (policy.Policy, error) {
-			_, _, pages, err := tr.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			dram, nvm := cfg.Sizing.Partition(pages)
-			return build(dram, nvm)
-		}
-	}
 	return append(policyJobs(cfg, tr, name+"/"),
-		runner.Job{
-			ID: name + "/dram-cache", Seed: cfg.Seed, Trace: tr, Spec: cfg.Spec, Opts: opts,
-			Build: zoned(func(dram, nvm int) (policy.Policy, error) {
-				return dramcache.New(dram, nvm, dramcache.DefaultConfig())
-			}),
-		},
-		runner.Job{
-			ID: name + "/static-partition", Seed: cfg.Seed, Trace: tr, Spec: cfg.Spec, Opts: opts,
-			Build: zoned(func(dram, nvm int) (policy.Policy, error) {
-				return policy.NewStaticPartition(dram, nvm)
-			}),
-		})
+		policyJob(dramCache, cfg, tr, name+"/"),
+		policyJob(staticPartition, cfg, tr, name+"/"))
 }
 
 // ArchComparison runs the comparison for one workload under the standard
@@ -70,6 +44,9 @@ func ArchComparison(name string, cfg Config) (*ArchRow, error) {
 // ArchAll runs the architecture comparison for several workloads as one
 // pool invocation, so trace generation and simulation overlap across
 // workloads.
+//
+// Claim: Section III — exclusive migration beats using the DRAM as a cache of
+// the NVM (and a static split) on the same silicon budget.
 func ArchAll(names []string, cfg Config) ([]*ArchRow, error) {
 	tc := cfg.traceCache()
 	specs := make([]workload.Spec, len(names))

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"hybridmem/internal/stats"
 )
 
 // Claims holds the paper's headline quantitative claims, extracted from a
@@ -49,7 +47,7 @@ func reduction(ratios []float64) (max, avg float64) {
 			max = red
 		}
 	}
-	g, err := stats.GeoMean(ratios)
+	g, err := geoMean(ratios)
 	if err != nil {
 		return max, 0
 	}

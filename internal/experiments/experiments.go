@@ -24,6 +24,7 @@ import (
 
 	"hybridmem/internal/clockdwf"
 	"hybridmem/internal/core"
+	"hybridmem/internal/dramcache"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/model"
 	"hybridmem/internal/policy"
@@ -139,8 +140,19 @@ type WorkloadRun struct {
 // Report returns the named policy's model evaluation.
 func (w *WorkloadRun) Report(id PolicyID) *model.Report { return w.Reports[id] }
 
-// buildPolicy constructs one policy instance for a footprint of pages.
-func buildPolicy(id PolicyID, cfg Config, pages int) (policy.Policy, error) {
+// The policies beyond the standard four that BuildPolicy constructs: the
+// adaptive-threshold variant by name (what Config.Adaptive substitutes for
+// Proposed) and the two comparison architectures of the arch study.
+const (
+	proposedAdaptive PolicyID = "proposed-adaptive"
+	dramCache        PolicyID = "dram-cache"
+	staticPartition  PolicyID = "static-partition"
+)
+
+// BuildPolicy constructs one policy instance for a footprint of pages: the
+// one place a policy name becomes a policy, for the grid, the extension
+// studies and the CLI alike.
+func BuildPolicy(id PolicyID, cfg Config, pages int) (policy.Policy, error) {
 	total := cfg.Sizing.TotalPages(pages)
 	dram, nvm := cfg.Sizing.Partition(pages)
 	switch id {
@@ -155,6 +167,14 @@ func buildPolicy(id PolicyID, cfg Config, pages int) (policy.Policy, error) {
 			return core.NewAdaptive(dram, nvm, cfg.Core, cfg.AdaptiveCfg)
 		}
 		return core.New(dram, nvm, cfg.Core)
+	case proposedAdaptive:
+		return core.NewAdaptive(dram, nvm, cfg.Core, cfg.AdaptiveCfg)
+	case dramCache:
+		// Same silicon budget as the migration architecture: the DRAM
+		// frames become cache, the NVM frames are the sole main memory.
+		return dramcache.New(dram, nvm, dramcache.DefaultConfig())
+	case staticPartition:
+		return policy.NewStaticPartition(dram, nvm)
 	default:
 		return nil, fmt.Errorf("experiments: unknown policy %q", id)
 	}
@@ -173,7 +193,7 @@ func policyJob(id PolicyID, cfg Config, tr *runner.Traces, idPrefix string) runn
 			if err != nil {
 				return nil, err
 			}
-			return buildPolicy(id, cfg, pages)
+			return BuildPolicy(id, cfg, pages)
 		},
 	}
 }
@@ -215,6 +235,10 @@ func assembleRun(spec workload.Spec, cfg Config, tr *runner.Traces, rs []runner.
 		run.Policies[id] = r.Policy
 	}
 	return run, nil
+}
+
+func errUnknownWorkload(name string) error {
+	return fmt.Errorf("experiments: unknown workload %q", name)
 }
 
 // RunWorkload evaluates one Table III workload under all four policies.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridmem/internal/model"
-	"hybridmem/internal/stats"
 )
 
 // Series is one stacked component of a figure: one value per column.
@@ -79,14 +78,12 @@ func withMeans(columns []string, groups []Group) ([]string, []Group) {
 				totals[i] += v
 			}
 		}
-		amean := stats.MustMean(totals)
-		gmean := 0.0
-		if allPositive(totals) {
-			gmean = stats.MustGeoMean(totals)
-		}
+		amean, _ := mean(totals)
+		// A non-positive total has no geometric mean: the column reads 0.
+		gmean, _ := geoMean(totals)
 		comps := make([]Series, len(g.Components))
 		for ci, c := range g.Components {
-			compMean := stats.MustMean(c.Values)
+			compMean, _ := mean(c.Values)
 			gVal := 0.0
 			if amean > 0 {
 				gVal = gmean * compMean / amean
@@ -98,15 +95,6 @@ func withMeans(columns []string, groups []Group) ([]string, []Group) {
 	}
 	cols := append(append([]string(nil), columns...), "G-Mean", "A-Mean")
 	return cols, out
-}
-
-func allPositive(xs []float64) bool {
-	for _, x := range xs {
-		if x <= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func workloadColumns(runs []*WorkloadRun) []string {

@@ -26,6 +26,9 @@ type MixedRun struct {
 // trace is materialized once (an uncached runner handle, since mixes fall
 // outside the per-workload cache key) and replayed into all four policies
 // through the pool.
+//
+// Claim: none of the paper's — the consolidated server, the offline twin of
+// the online engine's tenants (internal/tiered).
 func RunMixed(names []string, cfg Config) (*MixedRun, error) {
 	if len(names) < 2 {
 		return nil, fmt.Errorf("experiments: mix needs >= 2 workloads")

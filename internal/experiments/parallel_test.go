@@ -64,16 +64,16 @@ func TestSharedCacheGeneratesOncePerSpec(t *testing.T) {
 	if got := cfg.Cache.Generations(); got != n {
 		t.Fatalf("grid generated %d traces, want %d", got, n)
 	}
-	// Table III characterization and the replacement study replay the
+	// Table III characterization and the architecture study replay the
 	// cached traces instead of regenerating.
 	if _, err := Table3Measure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplacementAll(cfg); err != nil {
+	if _, err := ArchAll([]string{"ferret", "canneal"}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := cfg.Cache.Generations(); got != n {
-		t.Errorf("after table3+replacement: %d generations, want still %d", got, n)
+		t.Errorf("after table3+arch: %d generations, want still %d", got, n)
 	}
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"hybridmem/internal/stats"
-)
+import "fmt"
 
 // SeedStudy quantifies how sensitive the headline metrics are to the random
 // seed of trace generation: the paper reports single runs; this study backs
@@ -23,11 +19,11 @@ type MetricSummary struct {
 }
 
 func summarize(xs []float64) MetricSummary {
-	var s stats.Summary
+	var s summary
 	for _, x := range xs {
-		s.Add(x)
+		s.add(x)
 	}
-	return MetricSummary{Mean: s.Mean(), StdDev: s.StdDev(), Min: s.Min(), Max: s.Max()}
+	return MetricSummary{Mean: s.mean(), StdDev: s.stdDev(), Min: s.min, Max: s.max}
 }
 
 // String renders the summary as "mean ± stddev [min, max]".
@@ -67,15 +63,15 @@ func RunSeeds(cfg Config, seeds []int64) (*SeedStudy, error) {
 				wr = append(wr, float64(prop.NVMWrites.Total())/float64(w))
 			}
 		}
-		p, err := stats.GeoMean(pr)
+		p, err := geoMean(pr)
 		if err != nil {
 			return nil, err
 		}
-		a, err := stats.GeoMean(ar)
+		a, err := geoMean(ar)
 		if err != nil {
 			return nil, err
 		}
-		w, err := stats.GeoMean(wr)
+		w, err := geoMean(wr)
 		if err != nil {
 			return nil, err
 		}

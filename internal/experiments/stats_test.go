@@ -1,4 +1,4 @@
-package stats
+package experiments
 
 import (
 	"math"
@@ -11,25 +11,25 @@ func almostEqual(a, b float64) bool {
 }
 
 func TestMean(t *testing.T) {
-	m, err := Mean([]float64{1, 2, 3, 4})
+	m, err := mean([]float64{1, 2, 3, 4})
 	if err != nil || !almostEqual(m, 2.5) {
 		t.Errorf("Mean = %v, %v; want 2.5, nil", m, err)
 	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Errorf("Mean(nil) err = %v, want ErrEmpty", err)
+	if _, err := mean(nil); err != errEmpty {
+		t.Errorf("mean(nil) err = %v, want errEmpty", err)
 	}
 }
 
 func TestGeoMean(t *testing.T) {
-	m, err := GeoMean([]float64{1, 4})
+	m, err := geoMean([]float64{1, 4})
 	if err != nil || !almostEqual(m, 2) {
 		t.Errorf("GeoMean = %v, %v; want 2, nil", m, err)
 	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
+	if _, err := geoMean([]float64{1, 0}); err == nil {
 		t.Error("GeoMean with zero should error")
 	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) err = %v, want ErrEmpty", err)
+	if _, err := geoMean(nil); err != errEmpty {
+		t.Errorf("geoMean(nil) err = %v, want errEmpty", err)
 	}
 }
 
@@ -45,9 +45,9 @@ func TestGeoMeanLEMeanProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		g := MustGeoMean(xs)
-		a := MustMean(xs)
-		return g <= a*(1+1e-9)
+		g, gerr := geoMean(xs)
+		a, aerr := mean(xs)
+		return gerr == nil && aerr == nil && g <= a*(1+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -55,31 +55,31 @@ func TestGeoMeanLEMeanProperty(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	var s Summary
+	var s summary
 	for _, x := range []float64{3, 1, 4, 1, 5} {
-		s.Add(x)
+		s.add(x)
 	}
-	if s.N() != 5 {
-		t.Errorf("N = %d, want 5", s.N())
+	if s.n != 5 {
+		t.Errorf("N = %d, want 5", s.n)
 	}
-	if !almostEqual(s.Sum(), 14) {
-		t.Errorf("Sum = %v, want 14", s.Sum())
+	if !almostEqual(s.sum, 14) {
+		t.Errorf("Sum = %v, want 14", s.sum)
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v, want 1/5", s.Min(), s.Max())
+	if s.min != 1 || s.max != 5 {
+		t.Errorf("Min/Max = %v/%v, want 1/5", s.min, s.max)
 	}
-	if !almostEqual(s.Mean(), 2.8) {
-		t.Errorf("Mean = %v, want 2.8", s.Mean())
+	if !almostEqual(s.mean(), 2.8) {
+		t.Errorf("Mean = %v, want 2.8", s.mean())
 	}
 	wantVar := (9.0+1+16+1+25)/5 - 2.8*2.8
-	if !almostEqual(s.Variance(), wantVar) {
-		t.Errorf("Variance = %v, want %v", s.Variance(), wantVar)
+	if !almostEqual(s.variance(), wantVar) {
+		t.Errorf("Variance = %v, want %v", s.variance(), wantVar)
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
+	var s summary
+	if s.mean() != 0 || s.variance() != 0 || s.n != 0 {
 		t.Error("empty summary should be all zeros")
 	}
 }
@@ -92,15 +92,15 @@ func TestSummaryMatchesBatchProperty(t *testing.T) {
 				clean = append(clean, x)
 			}
 		}
-		var s Summary
+		var s summary
 		for _, x := range clean {
-			s.Add(x)
+			s.add(x)
 		}
 		if len(clean) == 0 {
-			return s.N() == 0
+			return s.n == 0
 		}
-		batch := MustMean(clean)
-		return math.Abs(s.Mean()-batch) <= 1e-6*(1+math.Abs(batch))
+		batch, _ := mean(clean)
+		return math.Abs(s.mean()-batch) <= 1e-6*(1+math.Abs(batch))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -218,6 +218,8 @@ type AdaptiveComparison struct {
 
 // CompareAdaptive evaluates both variants. Only the proposed scheme
 // differs between them, so the comparison is two jobs on one cached trace.
+//
+// Claim: the paper's stated future work — thresholds that adapt at run time.
 func CompareAdaptive(name string, cfg Config) (*AdaptiveComparison, error) {
 	spec, ok := workload.ByName(name)
 	if !ok {

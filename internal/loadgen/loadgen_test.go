@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -210,5 +211,86 @@ func TestTenantWindows(t *testing.T) {
 	}
 	if s.Elapsed > agg.Elapsed {
 		t.Errorf("slow tenant window %v exceeds the run's %v", s.Elapsed, agg.Elapsed)
+	}
+}
+
+func TestRunLoadDurationBudget(t *testing.T) {
+	e := startEngine(t, tiered.Config{DRAMPages: 16, NVMPages: 64})
+	recs := []trace.Record{{Addr: 0, Op: trace.OpRead}, {Addr: 4096, Op: trace.OpWrite}}
+	res, err := Run([]Load{{Recs: recs, Workers: 2, Open: Engine(e, tiered.DefaultTenant)}},
+		Config{Duration: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aggregate.Ops == 0 {
+		t.Fatal("duration-bounded run served nothing")
+	}
+}
+
+func TestRunTenantLoad(t *testing.T) {
+	e := startEngine(t, tiered.Config{
+		DRAMPages: 16, NVMPages: 64,
+		Tenants: []tiered.TenantConfig{{ID: 0, DRAMQuota: 8}, {ID: 1, DRAMQuota: 6}},
+	})
+	loads := []Load{
+		{Recs: mkRecs(50, 20), Workers: 2, Open: Engine(e, 0)},
+		{Recs: mkRecs(80, 20), Workers: 3, Open: Engine(e, 1)},
+	}
+	// 1001 ops split 501/500 across tenants, then unevenly across each
+	// tenant's workers: every op must still be served exactly once.
+	res, err := Run(loads, Config{Ops: 1001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aggregate.Ops != 1001 {
+		t.Fatalf("aggregate ops = %d, want 1001", res.Aggregate.Ops)
+	}
+	if len(res.Loads) != 2 || res.Loads[0].Ops != 501 || res.Loads[1].Ops != 500 {
+		t.Fatalf("per-tenant reports: %+v, want 501 and 500 ops", res.Loads)
+	}
+	for id, rep := range res.Loads {
+		st, ok := e.TenantStats(tiered.TenantID(id))
+		if !ok || st.Accesses != rep.Ops {
+			t.Fatalf("tenant %d engine saw %d accesses, report says %d", id, st.Accesses, rep.Ops)
+		}
+		if rep.OpsPerSec <= 0 {
+			t.Fatalf("tenant %d degenerate throughput: %+v", id, rep)
+		}
+	}
+	if got := e.Stats().Accesses; got != 1001 {
+		t.Fatalf("engine saw %d accesses, want 1001", got)
+	}
+	// An unknown tenant surfaces the serve error.
+	if _, err := Run([]Load{{Recs: mkRecs(5, 20), Workers: 1, Open: Engine(e, 9)}},
+		Config{Ops: 1}); err == nil {
+		t.Error("unknown tenant accepted")
+	}
+}
+
+func TestRunLoadValidation(t *testing.T) {
+	e, err := tiered.New(tiered.Config{DRAMPages: 2, NVMPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := Engine(e, tiered.DefaultTenant)
+	recs := []trace.Record{{Addr: 0}}
+	for name, tc := range map[string]struct {
+		loads []Load
+		cfg   Config
+	}{
+		"no loads":       {nil, Config{Ops: 1}},
+		"empty trace":    {[]Load{{Workers: 1, Open: open}}, Config{Ops: 1}},
+		"zero workers":   {[]Load{{Recs: recs, Open: open}}, Config{Ops: 1}},
+		"missing budget": {[]Load{{Recs: recs, Workers: 1, Open: open}}, Config{}},
+		"negative unit":  {[]Load{{Recs: recs, Workers: 1, Open: open}}, Config{Ops: 1, Unit: -1}},
+		// Serving a stopped engine surfaces the lifecycle error.
+		"unstarted engine": {[]Load{{Recs: recs, Workers: 1, Open: open}}, Config{Ops: 1}},
+		"open fails": {[]Load{{Recs: recs, Workers: 1, Open: func() (Target, error) {
+			return nil, errors.New("refused")
+		}}}, Config{Ops: 1}},
+	} {
+		if _, err := Run(tc.loads, tc.cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"os"
 )
 
-// WithOutput runs emit against the named output: stdout when path is ""
-// or "-", otherwise a created/truncated file. File close errors are
-// reported — a full disk must not look like a successful run.
-func WithOutput(path string, emit func(io.Writer) error) error {
+// WithOutput runs emit against the named output: the caller's stdout when
+// path is "" or "-", otherwise a created/truncated file. File close errors
+// are reported — a full disk must not look like a successful run.
+func WithOutput(stdout io.Writer, path string, emit func(io.Writer) error) error {
 	if path == "" || path == "-" {
-		return emit(os.Stdout)
+		return emit(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {

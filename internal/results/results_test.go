@@ -1,28 +1,19 @@
-package runner
+package results
 
 import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"hybridmem/internal/model"
-	"hybridmem/internal/results"
 )
 
-// The envelope lives in internal/results; these tests stay here because the
-// rows they encode are the runner's: a model.Report flattened by MetricsFrom.
-func testArtifact() *results.Artifact {
-	a := results.NewArtifact("sweep", "threshold", 0.02, 1)
-	a.Add(results.Result{
+func testArtifact() *Artifact {
+	a := NewArtifact("sweep", "threshold", 0.02, 1)
+	a.Add(Result{
 		ID: "raytrace/thr4-6/proposed", Workload: "raytrace", Policy: "proposed", Seed: 1,
 		Params: map[string]float64{"read_threshold": 4, "write_threshold": 6},
 		Pages:  1200, DRAMPages: 90, NVMPages: 810,
-		Metrics: MetricsFrom(&model.Report{
-			Accesses: 1000,
-			AMAT:     model.AMAT{HitDRAM: 100, MigrationD: 23.5},
-			APPR:     model.APPR{Static: 9.25},
-		}),
-		Values: map[string]float64{"amat_vs_clock_dwf": 0.4},
+		Metrics: &Metrics{AMATTotalNS: 123.5, AMATMigrationsNS: 23.5, PowerStaticNJ: 9.25},
+		Values:  map[string]float64{"amat_vs_clock_dwf": 0.4},
 	})
 	return a
 }
@@ -33,11 +24,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err := a.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := results.ReadArtifact(&buf)
+	got, err := ReadArtifact(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != results.Schema || got.Tool != "sweep" || got.Kind != "threshold" {
+	if got.Schema != Schema || got.Tool != "sweep" || got.Kind != "threshold" {
 		t.Errorf("header mangled: %+v", got)
 	}
 	if len(got.Results) != 1 {
@@ -73,17 +64,17 @@ func TestArtifactEncodingIsStable(t *testing.T) {
 }
 
 func TestReadArtifactRejectsWrongSchema(t *testing.T) {
-	if _, err := results.ReadArtifact(strings.NewReader(`{"schema":"other/v9"}`)); err == nil {
+	if _, err := ReadArtifact(strings.NewReader(`{"schema":"other/v9"}`)); err == nil {
 		t.Error("wrong schema accepted")
 	}
-	if _, err := results.ReadArtifact(strings.NewReader(`not json`)); err == nil {
+	if _, err := ReadArtifact(strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 func TestArtifactOmitsEmptyFields(t *testing.T) {
-	a := results.NewArtifact("sweep", "wearlevel", 0.02, 1)
-	a.Add(results.Result{ID: "vips/startgap64", Seed: 1, Values: map[string]float64{"gap_moves": 3}})
+	a := NewArtifact("sweep", "wearlevel", 0.02, 1)
+	a.Add(Result{ID: "vips/startgap64", Seed: 1, Values: map[string]float64{"gap_moves": 3}})
 	b, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 //   - obs: the observability plane imports nothing from this module but
 //     the results/v1 envelope it writes /events in.
 //   - results: the envelope is a leaf.
+//   - experiments: the offline evaluation links none of the online half.
 //   - loadgen: the load driver sits on top — commands and examples import
 //     it, no internal package does.
 func TestEngineDoesNotImportSimulator(t *testing.T) {
@@ -27,12 +28,16 @@ func TestEngineDoesNotImportSimulator(t *testing.T) {
 			return strings.HasPrefix(imp, "hybridmem") && !slices.Contains(allowed, strings.TrimPrefix(imp, internal))
 		}
 	}
+	none := func(denied ...string) func(string) bool {
+		return func(imp string) bool {
+			return slices.Contains(denied, strings.TrimPrefix(imp, internal))
+		}
+	}
 	rules := map[string]func(imp string) bool{
-		"tiered": func(imp string) bool {
-			return slices.Contains([]string{"sim", "policy", "clockdwf"}, strings.TrimPrefix(imp, internal))
-		},
-		"obs":     only("results"),
-		"results": only(),
+		"tiered":      none("sim", "policy", "clockdwf"),
+		"experiments": none("tiered", "server", "persist", "obs"),
+		"obs":         only("results"),
+		"results":     only(),
 	}
 	dirs, err := os.ReadDir("..")
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // jsonSpec mirrors Spec for JSON (de)serialization with explicit field
 // names, so users can define custom workloads in configuration files and
-// run them through cmd/tracegen or the experiments API.
+// run them through `hybridsim trace -specs` or the experiments API.
 type jsonSpec struct {
 	Name         string      `json:"name"`
 	WorkingSetKB int         `json:"working_set_kb"`
